@@ -1,11 +1,11 @@
 """Dual-token vision transformer with position-aware global tokens, built on
-a small numpy autodiff core with numba-accelerated convolution kernels."""
+a small numpy autodiff core."""
 
 from .tensor import (Tensor, GradTape, backward, count_macs, add, sub, mul,
-                     scale, gelu, sigmoid, elementwise, matmul, conv2d,
-                     avgpool2d, layernorm, softmax, bilinear_resize)
+                     scale, gelu, sigmoid, matmul, conv2d, avgpool2d,
+                     layernorm, softmax, bilinear_resize)
 from .gradcheck import grad_check
-from .layers import Linear, LayerNorm, MultiHeadAttention, init_params, mhsa
+from .layers import Linear, LayerNorm, MultiHeadAttention, init_params
 from .block import (BlockConfig, BlockActivations, GlobalTokens,
                     DualTokenBlock, dual_token_fusion)
 from .model import (ModelConfig, StageConfig, Model, build_model, preset,

@@ -196,7 +196,7 @@ def extract_attention_map(model: Model, image, block="last", query="mean"):
     else:
         q = int(query)
         if not 0 <= q < n:
-            raise IndexError(f"query index {q} out of range [0, {n})")
+            raise ValueError(f"query index {q} out of range [0, {n})")
         maps = [shaped(attn[q])]
         queries = [q]
     return AttentionMapExport(query=query, maps=maps, queries=queries,

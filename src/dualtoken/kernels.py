@@ -1,8 +1,8 @@
 """Hot convolution loops: numba-jitted with a pure-numpy fallback.
 
-The numba path is the default. Set ``DUALTOKEN_NUMBA=0`` in the environment
-(before import) to force the numpy path, e.g. on machines without a working
-numba install or when benchmarking the fallback.
+The numba path runs when numba can be imported; without numba the numpy
+path runs. Set ``DUALTOKEN_NUMBA=0`` in the environment (before import) to
+force the numpy path, e.g. when benchmarking the fallback.
 
 Dispatch: dense convolutions (groups == 1) reduce to large matrix products,
 which BLAS already does better than a jitted loop, so both paths delegate
@@ -72,13 +72,14 @@ def conv_backward_np(xp, w, dy, stride, groups):
     ho, wo = dy.shape[:2]
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
+    dy2 = dy.reshape(-1, cout)
     for ki in range(kh):
         for kj in range(kw):
             rows = slice(ki, ki + ho * stride, stride)
             cols = slice(kj, kj + wo * stride, stride)
             xs = xp[rows, cols, :]
             if groups == 1:
-                dw[ki, kj] = np.tensordot(xs, dy, axes=([0, 1], [0, 1]))
+                dw[ki, kj] = xs.reshape(-1, cin).T @ dy2
                 dxp[rows, cols, :] += dy @ w[ki, kj].T
             elif groups == cin and cout == cin:
                 dw[ki, kj, 0, :] = (xs * dy).sum(axis=(0, 1))

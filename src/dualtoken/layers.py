@@ -112,19 +112,18 @@ class MultiHeadAttention:
     def __call__(self, q_src, kv_src=None, need_weights=False):
         if kv_src is None:
             kv_src = q_src
-        q = self.q_proj(q_src)
-        k = self.k_proj(kv_src)
-        v = self.v_proj(kv_src)
         d = self.head_dim
-        inv_sqrt_d = 1.0 / math.sqrt(d)
+        # scale Q and transpose K once; each head slices its rows/columns
+        q = T.scale(self.q_proj(q_src), 1.0 / math.sqrt(d))
+        kt = T.transpose(self.k_proj(kv_src))
+        v = self.v_proj(kv_src)
         outs = []
         weights = []
         for h in range(self.heads):
             qh = T.slice_axis(q, 1, h * d, (h + 1) * d)
-            kh = T.slice_axis(k, 1, h * d, (h + 1) * d)
+            kth = T.slice_axis(kt, 0, h * d, (h + 1) * d)
             vh = T.slice_axis(v, 1, h * d, (h + 1) * d)
-            logits = T.scale(T.matmul(qh, T.transpose(kh)), inv_sqrt_d)
-            attn = T.softmax(logits)
+            attn = T.softmax(T.matmul(qh, kth))
             outs.append(T.matmul(attn, vh))
             if need_weights:
                 weights.append(attn.data)
@@ -138,12 +137,6 @@ class MultiHeadAttention:
                           ("v_proj", self.v_proj), ("out_proj", self.out_proj)):
             for n, p in sub.named_params():
                 yield f"{name}.{n}", p
-
-
-def mhsa(attn, q_src, kv_src=None, need_weights=False):
-    """Functional wrapper: self-attention when kv_src is omitted, cross
-    otherwise."""
-    return attn(q_src, kv_src, need_weights=need_weights)
 
 
 def prefixed(prefix, items):

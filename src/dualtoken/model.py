@@ -220,9 +220,10 @@ class Model:
 
     def forward(self, images, want_activations=True):
         cfg = self.cfg
-        s = images.shape[0]
-        if images.shape[0] != images.shape[1] or images.shape[2] != 3:
+        if (len(images.shape) != 3 or images.shape[0] != images.shape[1]
+                or images.shape[2] != 3):
             raise ValueError(f"expected a square S x S x 3 image, got {images.shape}")
+        s = images.shape[0]
         if s % 32 != 0:
             raise ValueError(f"input side {s} not divisible by 32")
         x = self.stem(images)

@@ -22,6 +22,7 @@ from . import kernels
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
@@ -30,10 +31,16 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, dtype=None, requires_grad=False):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        self.data = np.ascontiguousarray(arr)
+        # fast path: ops hand over fresh C-contiguous float arrays (a 0-d
+        # array still goes the long way, where it becomes shape (1,))
+        if (dtype is None and type(data) is np.ndarray and data.ndim
+                and data.dtype in _FLOATS and data.flags.c_contiguous):
+            self.data = data
+        else:
+            arr = np.asarray(data, dtype=dtype)
+            if arr.dtype not in _FLOATS:
+                arr = arr.astype(np.float32)
+            self.data = np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = requires_grad
 
@@ -54,9 +61,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detached(self):
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -123,12 +127,20 @@ def _unbroadcast(g, shape):
 def _accum(t, g):
     g = _unbroadcast(np.asarray(g, dtype=t.data.dtype), t.data.shape)
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # an owned, writable copy: g may be a read-only broadcast view or the
+        # very array another input receives
+        t.grad = np.array(g, order="C")
+    else:
+        t.grad += g
 
 
 def _trace(*tensors):
-    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in tensors)
+    if _ACTIVE_TAPE is None:
+        return False
+    for t in tensors:
+        if t.requires_grad:
+            return True
+    return False
 
 
 def _emit(out, bwd):
@@ -247,21 +259,6 @@ def sigmoid(x):
     return out
 
 
-def elementwise(op, a, b=None):
-    """Dispatch by name; the named forms above are preferred call sites."""
-    if op == "add":
-        return add(a, b)
-    if op == "sub":
-        return sub(a, b)
-    if op == "mul":
-        return mul(a, b)
-    if op == "scale":
-        return scale(a, b)
-    if op == "gelu":
-        return gelu(a)
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and convolution
 # ---------------------------------------------------------------------------
@@ -348,22 +345,23 @@ def layernorm(x, gamma, beta, eps=1e-6):
     c = x.shape[-1]
     if c < 1:
         raise ValueError("layernorm needs at least one channel")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    inv_c = 1.0 / c
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_c
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_c
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(xhat * gamma.data + beta.data)
     if _trace(x, gamma, beta):
-        def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv=inv, c=c):
+        def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv=inv, c=c, inv_c=inv_c):
             if gamma.requires_grad:
                 _accum(gamma, (g * xhat).reshape(-1, c).sum(axis=0))
             if beta.requires_grad:
                 _accum(beta, g.reshape(-1, c).sum(axis=0))
             if x.requires_grad:
                 gx = g * gamma.data
-                m1 = gx.mean(axis=-1, keepdims=True)
-                m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+                m1 = gx.sum(axis=-1, keepdims=True) * inv_c
+                m2 = (gx * xhat).sum(axis=-1, keepdims=True) * inv_c
                 _accum(x, (gx - m1 - xhat * m2) * inv)
         _emit(out, bwd)
     return out
@@ -468,14 +466,14 @@ def slice_axis(x, axis, start, stop):
     x = as_tensor(x)
     idx = [slice(None)] * x.data.ndim
     idx[axis] = slice(start, stop)
-    out = Tensor(np.ascontiguousarray(x.data[tuple(idx)]))
+    idx = tuple(idx)
+    out = Tensor(np.ascontiguousarray(x.data[idx]))
     if _trace(x):
-        def bwd(g, x=x, axis=axis, start=start, stop=stop):
-            gx = np.zeros_like(x.data)
-            idx = [slice(None)] * gx.ndim
-            idx[axis] = slice(start, stop)
-            gx[tuple(idx)] = g
-            _accum(x, gx)
+        def bwd(g, x=x, idx=idx):
+            # add into the slice: several slices of one tensor share a buffer
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[idx] += g
         _emit(out, bwd)
     return out
 
@@ -503,9 +501,3 @@ def mean(x, axis=None, keepdims=False):
             _accum(x, np.broadcast_to(g, x.data.shape) / n)
         _emit(out, bwd)
     return out
-
-
-def assert_finite(t, what="tensor"):
-    if not np.isfinite(t.data).all():
-        raise FloatingPointError(f"{what} contains non-finite values")
-    return t

@@ -148,13 +148,16 @@ def load_state(path, cfg, optimizer="adamw", lr=1e-3, seed=42):
     tensors = read_tensors(path)
     model = build_model(cfg, seed=seed)
     state = TrainState(model=model, optimizer=optimizer, lr=lr)
-    for name, p in model.named_params():
-        p.data = np.ascontiguousarray(tensors[f"param.{name}"].astype(p.data.dtype))
+    params = model.param_dict()
+    for name, p in params.items():
+        # parameters keep their saved precision, so an f64 run resumes in f64
+        p.data = np.ascontiguousarray(tensors[f"param.{name}"])
     for key in tensors:
         if key.startswith("adam.m."):
             name = key[len("adam.m."):]
-            state.moments[name] = (tensors[key].astype(np.float32),
-                                   tensors[f"adam.v.{name}"].astype(np.float32))
+            dtype = params[name].data.dtype
+            state.moments[name] = (tensors[key].astype(dtype),
+                                   tensors[f"adam.v.{name}"].astype(dtype))
     state.step = int(tensors["meta.step"][0])
     state.loss_history = [float(v) for v in tensors["meta.loss_history"]]
     return state

@@ -90,7 +90,7 @@ def test_attention_maps_sum_to_one_and_mean_is_the_average():
 def test_attention_map_query_out_of_range():
     model = build_model("toy_grad", seed=7)
     img = np.zeros((32, 32, 3), np.float32)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         extract_attention_map(model, img, query=100)
 
 

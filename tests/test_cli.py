@@ -2,17 +2,38 @@
 determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dualtoken import cli
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "dualtoken.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_one_fail_line(code, out, err):
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL ")
+    assert "Traceback" not in err
 
 
 def test_count_toy_reports_totals(capsys):
@@ -107,3 +128,16 @@ def test_gradcheck_primitives_scope(capsys):
     assert code == 0
     assert "PASS gradcheck_" in out
     assert "FAIL" not in out
+
+
+def test_forward_with_a_2d_image_is_one_fail_line(tmp_path):
+    path = tmp_path / "flat.npy"
+    np.save(path, np.zeros((32, 32), np.float32))
+    assert_one_fail_line(*run_process(["forward", "--preset", "toy",
+                                       "--image", str(path)]))
+
+
+def test_attnmap_query_out_of_range_is_one_fail_line(tmp_path):
+    assert_one_fail_line(*run_process(["attnmap", "--preset", "toy",
+                                       "--query", "99999",
+                                       "--out", str(tmp_path)]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualtoken.checks import cast_model
 from dualtoken.data import (SyntheticDataset, gen_synthetic, load_dataset,
                             save_dataset)
 from dualtoken.model import build_model, preset
@@ -105,6 +106,23 @@ def test_resume_replays_bitwise(tmp_path):
     for (na, pa), (_, pb) in zip(straight.model.named_params(),
                                  resumed.model.named_params()):
         assert (pa.data == pb.data).all(), na
+
+
+def test_float64_state_round_trips_moments(tmp_path):
+    model = cast_model(build_model("toy_grad", seed=5), np.float64)
+    state = train_toy(model, grad_dataset(n=16), steps=2, lr=1e-3)
+    path = tmp_path / "state.dtvt"
+    save_state(state, path)
+    loaded = load_state(path, preset("toy_grad"), lr=1e-3, seed=5)
+    saved = state.model.param_dict()
+    for name, p in loaded.model.named_params():
+        assert p.data.dtype == np.float64, name
+        assert (p.data == saved[name].data).all(), name
+    assert loaded.moments.keys() == state.moments.keys()
+    for name, (m, v) in state.moments.items():
+        lm, lv = loaded.moments[name]
+        assert lm.dtype == lv.dtype == np.float64, name
+        assert (lm == m).all() and (lv == v).all(), name
 
 
 def test_one_adamw_step_touches_nearly_all_parameters():

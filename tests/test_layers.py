@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from dualtoken.layers import (LayerNorm, Linear, MultiHeadAttention,
-                              init_params, mhsa)
+from dualtoken.layers import LayerNorm, Linear, MultiHeadAttention, init_params
 from dualtoken.tensor import Tensor
 
 
@@ -47,7 +46,7 @@ def test_cross_attention_matches_oracle():
     attn = MultiHeadAttention.build(np.random.default_rng(33), 8, 2)
     q_src = rng.standard_normal((5, 8)).astype(np.float32)
     kv_src = rng.standard_normal((3, 8)).astype(np.float32)
-    got = mhsa(attn, Tensor(q_src), Tensor(kv_src)).data
+    got = attn(Tensor(q_src), Tensor(kv_src)).data
     want = reference_mhsa(attn, q_src.astype(np.float64),
                           kv_src.astype(np.float64))
     assert np.abs(got - want).max() <= 1e-5

@@ -95,6 +95,16 @@ def test_every_parameter_receives_gradient():
     assert img.grad is not None and np.any(img.grad)
 
 
+def test_toy_tape_length_stays_within_budget():
+    # per-op dispatch bounds the toy step, so the record count is pinned
+    model = build_model("toy", seed=1)
+    tape = GradTape()
+    with tape:
+        logits, _ = model.forward(random_image(32), want_activations=False)
+        cross_entropy(logits, 3)
+    assert len(tape) <= 374
+
+
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     model = build_model("toy_grad", seed=11)
     path = tmp_path / "model.dtvt"

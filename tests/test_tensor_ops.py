@@ -225,3 +225,46 @@ def test_reshape_transpose_concat_slice_round_trip():
     b = T.slice_axis(flat, 0, 10, 24)
     rejoined = T.concat([a, b], axis=0).data
     assert (rejoined == flat.data).all()
+
+
+def test_inputs_of_one_op_get_separate_gradient_buffers():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((2, 3)), requires_grad=True)
+    tape = GradTape()
+    with tape:
+        loss = T.sum(T.add(a, b))
+    T.backward(tape, loss)
+    before = b.grad.copy()
+    a.grad += 5.0
+    assert (b.grad == before).all()
+
+
+def test_gradient_from_a_broadcast_view_is_writable():
+    # sum's backward hands a read-only np.broadcast_to view to _accum
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    tape = GradTape()
+    with tape:
+        loss = T.sum(x)
+    T.backward(tape, loss)
+    assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+    x.grad *= 2.0
+    assert (x.grad == 2.0).all()
+
+
+def test_overlapping_slices_accumulate_like_a_zero_initialised_oracle():
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+    spans = [(0, 5), (3, 8), (2, 6)]
+    # integer weights keep every partial sum exact, whatever the order
+    weights = [rng.integers(-3, 4, size=(3, b - a)).astype(np.float64)
+               for a, b in spans]
+    tape = GradTape()
+    with tape:
+        terms = [T.sum(T.mul(T.slice_axis(x, 1, a, b), Tensor(w)))
+                 for (a, b), w in zip(spans, weights)]
+        loss = T.add(T.add(terms[0], terms[1]), terms[2])
+    T.backward(tape, loss)
+    want = np.zeros_like(x.data)
+    for (a, b), w in zip(spans, weights):
+        want[:, a:b] += w
+    assert (x.grad == want).all()
