@@ -1,13 +1,13 @@
 """Dual-token vision transformer with position-aware global tokens, built on
-a small numpy autodiff core."""
+a small numpy autodiff core. Everything runs in numpy, convolutions included;
+they are dense or depthwise, the two groupings the model uses."""
 
 from .tensor import (Tensor, GradTape, backward, count_macs, add, sub, mul,
                      scale, gelu, sigmoid, matmul, conv2d, avgpool2d,
                      layernorm, softmax, bilinear_resize)
 from .gradcheck import grad_check
 from .layers import Linear, LayerNorm, MultiHeadAttention, init_params
-from .block import (BlockConfig, BlockActivations, GlobalTokens,
-                    DualTokenBlock, dual_token_fusion)
+from .block import BlockConfig, BlockActivations, GlobalTokens, DualTokenBlock
 from .model import (ModelConfig, StageConfig, Model, build_model, preset,
                     PRESET_NAMES, save_checkpoint, load_checkpoint,
                     CheckpointError)

@@ -6,12 +6,12 @@ one-step downsampling)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .layers import LayerNorm, Linear, MultiHeadAttention, prefixed
+from .layers import LayerNorm, Linear, MultiHeadAttention, init_params, prefixed
 from .tensor import Tensor
 
 
@@ -36,6 +36,9 @@ class BlockConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.channels % self.heads != 0:
+            raise ValueError(
+                f"channels {self.channels} not divisible by heads {self.heads}")
         if self.local_kind == "window_msa" and not self.skip_local_and_ds:
             if self.resolution % self.window != 0:
                 raise ValueError(
@@ -55,14 +58,6 @@ class GlobalTokens:
     keep a g x g grid arrangement, normal tokens are a flat list."""
     tokens: Tensor  # n x C
     grid_side: int | None
-
-    @property
-    def count(self):
-        return self.tokens.shape[0]
-
-    @property
-    def channels(self):
-        return self.tokens.shape[1]
 
 
 @dataclass
@@ -116,15 +111,14 @@ class ConvEncoder:
 
     @classmethod
     def build(cls, rng, channels, kernel, expansion=4):
-        from .layers import _init_from
         c, e = channels, channels * expansion
-        dw_w = _init_from(rng, (kernel, kernel, 1, c), "trunc_normal")
-        dw_b = _init_from(rng, (c,), "zeros")
+        dw_w = init_params(rng, (kernel, kernel, 1, c), "trunc_normal")
+        dw_b = init_params(rng, (c,), "zeros")
         ln = LayerNorm.build(rng, c)
-        pw1_w = _init_from(rng, (1, 1, c, e), "trunc_normal")
-        pw1_b = _init_from(rng, (e,), "zeros")
-        pw2_w = _init_from(rng, (1, 1, e, c), "trunc_normal")
-        pw2_b = _init_from(rng, (c,), "zeros")
+        pw1_w = init_params(rng, (1, 1, c, e), "trunc_normal")
+        pw1_b = init_params(rng, (e,), "zeros")
+        pw2_w = init_params(rng, (1, 1, e, c), "trunc_normal")
+        pw2_b = init_params(rng, (c,), "zeros")
         return cls(dw_w, dw_b, ln, pw1_w, pw1_b, pw2_w, pw2_b)
 
     def __call__(self, x):
@@ -194,12 +188,11 @@ class Downsampler:
 
     @classmethod
     def build(cls, rng, channels, kind, grid, resolution):
-        from .layers import _init_from
         convs = []
         if kind == "step_wise":
             for _ in range(ds_conv_count(resolution, grid)):
-                w = _init_from(rng, (3, 3, channels, channels), "trunc_normal")
-                b = _init_from(rng, (channels,), "zeros")
+                w = init_params(rng, (3, 3, channels, channels), "trunc_normal")
+                b = init_params(rng, (channels,), "zeros")
                 convs.append((w, b))
         return cls(kind, grid, convs)
 
@@ -431,9 +424,3 @@ class DualTokenBlock:
         if self.bidim is not None:
             yield from prefixed("bidim", self.bidim.named_params())
 
-
-def dual_token_fusion(x_local, x_global):
-    """Elementwise sum of the local and global token maps."""
-    if x_local.shape != x_global.shape:
-        raise ValueError(f"shape mismatch: {x_local.shape} vs {x_global.shape}")
-    return T.add(x_local, x_global)

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import tensor as T
 from .block import BlockConfig, DualTokenBlock, GlobalTokens
-from .gradcheck import GradCheckReport, grad_check
+from .gradcheck import central_differences, grad_check
 from .model import build_model, preset
 from .tensor import GradTape, Tensor
 
@@ -224,23 +224,9 @@ def gradcheck_model(tol=1e-4, max_coords=16, preset_name="toy", label=1, seed=5)
     for name, t in targets:
         analytic = np.zeros_like(t.data) if t.grad is None else t.grad
         flat = t.data.reshape(-1)
-        aflat = analytic.reshape(-1)
         n = flat.size
         coords = (sampler.choice(n, size=max_coords, replace=False)
                   if n > max_coords else np.arange(n))
-        max_rel = 0.0
-        for i in coords:
-            old = flat[i]
-            h = 1e-5 * max(1.0, abs(old))
-            flat[i] = old + h
-            fp = loss_value().item()
-            flat[i] = old - h
-            fm = loss_value().item()
-            flat[i] = old
-            num = (fp - fm) / (2.0 * h)
-            rel = abs(aflat[i] - num) / max(abs(aflat[i]), abs(num), 1e-2)
-            max_rel = max(max_rel, rel)
-        results.append((name, GradCheckReport(max_rel_err=float(max_rel),
-                                              passed=bool(max_rel <= tol),
-                                              checked=len(coords))))
+        results.append((name, central_differences(loss_value, flat, analytic,
+                                                  coords, tol)))
     return results

@@ -8,13 +8,14 @@ passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, checks, data as data_mod, train as train_mod
-from .model import ModelConfig, PRESET_NAMES, build_model, preset, save_checkpoint
+from .model import ModelConfig, PRESET_NAMES, build_model, preset
 from .tensor import Tensor
 
 
@@ -28,19 +29,22 @@ def _load_config(args):
             cfg = ModelConfig.from_json(fh.read())
     else:
         cfg = preset(args.preset)
+    overrides = {}
     if getattr(args, "local", None):
-        cfg.local_kind = {"conv": "conv_encoder", "window": "window_msa"}[args.local]
+        overrides["local_kind"] = {"conv": "conv_encoder", "window": "window_msa"}[args.local]
     if getattr(args, "mlp", None):
-        cfg.mlp_kind = args.mlp
+        overrides["mlp_kind"] = args.mlp
     if getattr(args, "ds", None):
-        cfg.ds_kind = {"stepwise": "step_wise", "onestep": "one_step"}[args.ds]
+        overrides["ds_kind"] = {"stepwise": "step_wise", "onestep": "one_step"}[args.ds]
     if getattr(args, "tokens", None):
-        cfg.global_mode = {"normal": "normal_msa",
-                           "posaware": "position_aware_sum"}[args.tokens]
+        overrides["global_mode"] = {"normal": "normal_msa",
+                                    "posaware": "position_aware_sum"}[args.tokens]
     if getattr(args, "grid", None):
-        cfg.token_grid = args.grid
+        overrides["token_grid"] = args.grid
     if getattr(args, "resolution", None):
-        cfg.input_resolution = args.resolution
+        overrides["input_resolution"] = args.resolution
+    # rebuilt rather than mutated, so the overridden config is validated again
+    cfg = dataclasses.replace(cfg, **overrides)
     _err(f"config: {cfg.to_dict()}")
     return cfg
 

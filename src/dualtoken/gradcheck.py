@@ -43,15 +43,24 @@ def grad_check(f, x, tol=1e-4, max_coords=None, seed=0):
     else:
         coords = np.arange(n)
 
+    return central_differences(lambda: f(Tensor(x64.data.copy())), flat,
+                               analytic, coords, tol)
+
+
+def central_differences(value, flat, analytic, coords, tol):
+    """Probe each coordinate i of `flat` (a view into the inputs of the
+    scalar-valued closure `value`) with step 1e-5 * max(1, |flat[i]|) and
+    compare the central difference against `analytic` (same size as flat).
+    Every coordinate is restored after its probe."""
     aflat = analytic.reshape(-1)
     max_rel = 0.0
     for i in coords:
         old = flat[i]
         h = 1e-5 * max(1.0, abs(old))
         flat[i] = old + h
-        fp = f(Tensor(x64.data.copy())).item()
+        fp = value().item()
         flat[i] = old - h
-        fm = f(Tensor(x64.data.copy())).item()
+        fm = value().item()
         flat[i] = old
         num = (fp - fm) / (2.0 * h)
         a = aflat[i]

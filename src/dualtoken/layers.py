@@ -11,17 +11,13 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def init_params(shape, scheme="trunc_normal", seed=0, std=0.02):
-    """Deterministic parameter initialization.
+def init_params(rng, shape, scheme="trunc_normal", std=0.02):
+    """Parameter initialization drawn from the generator `rng`.
 
     trunc_normal samples N(0, std^2) clipped to +-2 std; zeros/ones are what
-    they say. Same (shape, scheme, seed) always yields bit-identical data.
+    they say and draw nothing. The same rng state always yields bit-identical
+    data.
     """
-    rng = np.random.default_rng(seed)
-    return _init_from(rng, shape, scheme, std)
-
-
-def _init_from(rng, shape, scheme, std=0.02):
     if scheme == "zeros":
         data = np.zeros(shape, dtype=np.float32)
     elif scheme == "ones":
@@ -43,8 +39,8 @@ class Linear:
 
     @classmethod
     def build(cls, rng, cin, cout, bias=True):
-        w = _init_from(rng, (cin, cout), "trunc_normal")
-        b = _init_from(rng, (cout,), "zeros") if bias else None
+        w = init_params(rng, (cin, cout), "trunc_normal")
+        b = init_params(rng, (cout,), "zeros") if bias else None
         return cls(w, b)
 
     @property
@@ -77,8 +73,8 @@ class LayerNorm:
 
     @classmethod
     def build(cls, rng, channels, eps=1e-6):
-        return cls(_init_from(rng, (channels,), "ones"),
-                   _init_from(rng, (channels,), "zeros"), eps)
+        return cls(init_params(rng, (channels,), "ones"),
+                   init_params(rng, (channels,), "zeros"), eps)
 
     def __call__(self, x):
         return T.layernorm(x, self.gamma, self.beta, self.eps)

@@ -5,15 +5,15 @@ checkpoint / config serialization."""
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .block import BlockConfig, DualTokenBlock, GlobalTokens
-from .layers import LayerNorm, Linear, _init_from, prefixed
-from .tensor import GradTape, Tensor
+from .layers import LayerNorm, Linear, init_params, prefixed
 
 
 @dataclass
@@ -26,13 +26,36 @@ class StageConfig:
     def to_dict(self):
         return asdict(self)
 
+    def __post_init__(self):
+        for name in ("blocks", "channels", "heads"):
+            _check_positive_int(f"stage {name}", getattr(self, name))
+        if self.dw_kernel is not None:
+            _check_positive_int("stage dw_kernel", self.dw_kernel)
+
     @classmethod
     def from_dict(cls, d):
-        known = {"blocks", "channels", "heads", "dw_kernel"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown StageConfig fields: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**_known_fields(cls, d))
+
+
+def _check_positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
+def _known_fields(cls, d):
+    """Return `d` once it is known to be a dict that names only fields of the
+    dataclass `cls`, and every field that has no default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r}")
+    fields = cls.__dataclass_fields__
+    unknown = set(d) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    missing = [n for n, f in fields.items()
+               if n not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} fields: {missing}")
+    return d
 
 
 STRIDES = (8, 16, 32)
@@ -57,17 +80,19 @@ class ModelConfig:
     head_hidden: int = 1280
 
     def __post_init__(self):
+        if not isinstance(self.stages, (list, tuple)):
+            raise ValueError(f"stages must be a list of 3 stage configs, got {self.stages!r}")
         self.stages = [s if isinstance(s, StageConfig) else StageConfig.from_dict(s)
                        for s in self.stages]
         if len(self.stages) != 3:
             raise ValueError(f"expected exactly 3 stages, got {len(self.stages)}")
+        _check_positive_int("input_resolution", self.input_resolution)
         if self.input_resolution % 32 != 0:
             # stride-8 stem plus two 2x2 merges need five halvings in total
             raise ValueError("input resolution must be divisible by 32")
-        for s in self.stages:
-            if s.channels % s.heads != 0:
-                raise ValueError(
-                    f"channels {s.channels} not divisible by heads {s.heads}")
+        # the per-block rules (alpha, heads, windows) live in BlockConfig
+        for i in range(3):
+            self.block_config(i)
 
     def stage_resolution(self, i):
         return self.input_resolution // STRIDES[i]
@@ -94,11 +119,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown ModelConfig fields: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**_known_fields(cls, d))
 
     @classmethod
     def from_json(cls, text):
@@ -156,8 +177,8 @@ class Stem:
         convs = []
         norms = []
         for i, (cin, cout) in enumerate(plan):
-            w = _init_from(rng, (3, 3, cin, cout), "trunc_normal")
-            b = _init_from(rng, (cout,), "zeros")
+            w = init_params(rng, (3, 3, cin, cout), "trunc_normal")
+            b = init_params(rng, (cout,), "zeros")
             convs.append((w, b))
             if i < 2:
                 norms.append(LayerNorm.build(rng, cout))
@@ -267,9 +288,6 @@ class Model:
             d[name] = p
         return d
 
-    def num_params(self):
-        return sum(p.size for _, p in self.named_params())
-
 
 def build_model(cfg, seed=42):
     """Deterministically initialize a model from its configuration."""
@@ -279,7 +297,7 @@ def build_model(cfg, seed=42):
     c1 = cfg.stages[0].channels
     stem = Stem.build(rng, c1)
     n_g = cfg.num_global_tokens if cfg.global_mode == "normal_msa" else cfg.token_grid ** 2
-    g_init = _init_from(rng, (n_g, c1), "trunc_normal")
+    g_init = init_params(rng, (n_g, c1), "trunc_normal")
     stages = []
     merges = []
     g_projs = []
@@ -355,17 +373,28 @@ def read_tensors(path):
     out = {}
     for _ in range(count):
         nlen, = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8") from None
+        if name in out:
+            raise CheckpointError(f"{path}: duplicate tensor {name}")
         code, = struct.unpack("<B", take(1))
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"{path}: unknown dtype code {code} for {name}")
         dtype = _CODE_DTYPES[code]
         rank, = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank)) if rank else ()
-        size = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        # exact Python ints, so an absurd shape is refused by take()
+        size = math.prod(dims)
         data = np.frombuffer(take(size * dtype.itemsize),
                              dtype=dtype.newbyteorder("<")).astype(dtype)
-        out[name] = data.reshape(dims)
+        try:
+            out[name] = data.reshape(dims)
+        except ValueError as exc:  # an empty tensor with dims numpy refuses
+            raise CheckpointError(f"{path}: bad shape {dims} for {name}: {exc}") from None
+    if off != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return out
 
 

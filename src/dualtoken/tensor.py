@@ -294,10 +294,13 @@ def conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
         ph, pw = (kh - 1) // 2, (kw - 1) // 2
     else:
         ph = pw = int(padding)
-    if cin % groups != 0 or cout % groups != 0 or cig != cin // groups:
+    if not (groups == 1 or groups == cin == cout):
         raise ValueError(
-            f"channel/group arithmetic is inconsistent: cin={cin} cout={cout} "
-            f"groups={groups} weight per-group cin={cig}")
+            f"conv2d is dense (groups=1) or depthwise (groups=cin=cout): "
+            f"cin={cin} cout={cout} groups={groups}")
+    if cig != cin // groups:
+        raise ValueError(
+            f"weight per-group cin={cig} does not match cin={cin} groups={groups}")
     xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0))) if (ph or pw) else x.data
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (wdt + 2 * pw - kw) // stride + 1

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .model import Model, build_model, read_tensors, write_tensors
+from .model import CheckpointError, Model, build_model, read_tensors, write_tensors
 from .tensor import GradTape, Tensor
 
 
@@ -146,18 +146,29 @@ def save_state(state, path):
 
 def load_state(path, cfg, optimizer="adamw", lr=1e-3, seed=42):
     tensors = read_tensors(path)
+
+    def need(key, shape=None):
+        if key not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {key}")
+        if shape is not None and tensors[key].shape != tuple(shape):
+            raise CheckpointError(f"{path}: shape mismatch for {key}: "
+                                  f"state {tensors[key].shape} vs {tuple(shape)}")
+        return tensors[key]
+
     model = build_model(cfg, seed=seed)
     state = TrainState(model=model, optimizer=optimizer, lr=lr)
     params = model.param_dict()
     for name, p in params.items():
         # parameters keep their saved precision, so an f64 run resumes in f64
-        p.data = np.ascontiguousarray(tensors[f"param.{name}"])
+        p.data = np.ascontiguousarray(need(f"param.{name}", p.shape))
     for key in tensors:
         if key.startswith("adam.m."):
             name = key[len("adam.m."):]
-            dtype = params[name].data.dtype
-            state.moments[name] = (tensors[key].astype(dtype),
-                                   tensors[f"adam.v.{name}"].astype(dtype))
-    state.step = int(tensors["meta.step"][0])
-    state.loss_history = [float(v) for v in tensors["meta.loss_history"]]
+            if name not in params:
+                raise CheckpointError(f"{path}: moments for unknown parameter {name}")
+            p = params[name]
+            state.moments[name] = (need(key, p.shape).astype(p.data.dtype),
+                                   need(f"adam.v.{name}", p.shape).astype(p.data.dtype))
+    state.step = int(need("meta.step", (1,))[0])
+    state.loss_history = [float(v) for v in need("meta.loss_history")]
     return state

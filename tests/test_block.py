@@ -7,7 +7,7 @@ import pytest
 from dualtoken import tensor as T
 from dualtoken.block import (BlockConfig, ConvEncoder, DualTokenBlock,
                              Downsampler, GlobalTokens, WindowAttentionLocal,
-                             ds_conv_count, ds_plan, dual_token_fusion)
+                             ds_conv_count, ds_plan)
 from dualtoken.layers import MultiHeadAttention
 from dualtoken.tensor import Tensor
 
@@ -143,14 +143,6 @@ def test_block_shape_contract_and_activation_shapes():
     assert acts.x_ga.shape == (4, 8)
     assert acts.x_new.shape == (64, 8)
     assert acts.label == "probe"
-
-
-def test_dual_token_fusion_is_the_sum_and_checks_shapes():
-    a = Tensor(np.ones((3, 4), np.float32))
-    b = Tensor(np.full((3, 4), 2.0, np.float32))
-    assert (dual_token_fusion(a, b).data == 3.0).all()
-    with pytest.raises(ValueError):
-        dual_token_fusion(a, Tensor(np.ones((4, 3), np.float32)))
 
 
 def test_normal_token_mode_uses_a_flat_token_list():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dualtoken import cli
+from dualtoken.model import preset
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -141,3 +142,20 @@ def test_attnmap_query_out_of_range_is_one_fail_line(tmp_path):
     assert_one_fail_line(*run_process(["attnmap", "--preset", "toy",
                                        "--query", "99999",
                                        "--out", str(tmp_path)]))
+
+
+def test_config_with_alpha_5_is_one_fail_line(tmp_path):
+    config = tmp_path / "alpha.json"
+    config.write_text(json.dumps(dict(preset("toy").to_dict(), alpha=5)))
+    assert_one_fail_line(*run_process(["dump-config", "--config", str(config)]))
+
+
+def test_resolution_override_is_validated():
+    assert_one_fail_line(*run_process(["dump-config", "--preset", "toy",
+                                       "--resolution", "48"]))
+
+
+def test_config_with_non_list_stages_is_one_fail_line(tmp_path):
+    config = tmp_path / "stages.json"
+    config.write_text(json.dumps({"stages": 5}))
+    assert_one_fail_line(*run_process(["dump-config", "--config", str(config)]))

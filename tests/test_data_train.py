@@ -6,7 +6,8 @@ import pytest
 from dualtoken.checks import cast_model
 from dualtoken.data import (SyntheticDataset, gen_synthetic, load_dataset,
                             save_dataset)
-from dualtoken.model import build_model, preset
+from dualtoken.model import (CheckpointError, build_model, preset,
+                             read_tensors, write_tensors)
 from dualtoken.tensor import Tensor
 from dualtoken.train import (TrainState, cross_entropy, evaluate, load_state,
                              save_state, train_step, train_toy)
@@ -123,6 +124,19 @@ def test_float64_state_round_trips_moments(tmp_path):
         lm, lv = loaded.moments[name]
         assert lm.dtype == lv.dtype == np.float64, name
         assert (lm == m).all() and (lv == v).all(), name
+
+
+@pytest.mark.parametrize("key", ["meta.step", "meta.loss_history",
+                                 "param.head.lin2.bias"])
+def test_state_without_a_key_raises_checkpoint_error(tmp_path, key):
+    state = train_toy(preset("toy_grad"), grad_dataset(n=8), steps=1, lr=1e-3)
+    path = tmp_path / "state.dtvt"
+    save_state(state, path)
+    named = read_tensors(path)
+    del named[key]
+    write_tensors(path, named)
+    with pytest.raises(CheckpointError, match=key):
+        load_state(path, preset("toy_grad"), lr=1e-3)
 
 
 def test_one_adamw_step_touches_nearly_all_parameters():

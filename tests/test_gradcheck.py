@@ -3,8 +3,9 @@ broken ones, and samples coordinates deterministically."""
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from dualtoken import tensor as T
+from dualtoken import checks, tensor as T
 from dualtoken.gradcheck import grad_check
 from dualtoken.tensor import Tensor
 
@@ -52,3 +53,23 @@ def test_report_is_truthy_iff_passed():
     x = Tensor(np.ones(3), requires_grad=True)
     report = grad_check(lambda t: T.mean(t), x)
     assert bool(report) is report.passed is True
+
+
+def test_model_suite_flags_a_wrong_backward(monkeypatch):
+    # the erf GELU with its backward scaled by 1.01
+    def gelu_off_by_one_percent(x):
+        x = T.as_tensor(x)
+        phi = 0.5 * (1.0 + erf(x.data / np.sqrt(2.0)))
+        out = Tensor(x.data * phi)
+        if T._trace(x):
+            def bwd(g, x=x, phi=phi):
+                pdf = np.exp(-0.5 * x.data * x.data) / np.sqrt(2.0 * np.pi)
+                T._accum(x, 1.01 * g * (phi + x.data * pdf))
+            T._emit(out, bwd)
+        return out
+
+    monkeypatch.setattr(T, "gelu", gelu_off_by_one_percent)
+    reports = dict(checks.gradcheck_model())
+    assert not reports["model.input"].passed
+    # the last linear layer sits after every GELU, so its bias is unaffected
+    assert reports["model.head.lin2.bias"].passed

@@ -1,75 +1,16 @@
-"""The jitted convolution kernels and their numpy fallback must agree."""
-
-import os
-import subprocess
-import sys
+"""The convolution kernels keep the input precision."""
 
 import numpy as np
-import pytest
 
 from dualtoken import kernels
-
-CASES = [  # (hp, wp, cin, k, cout, stride, groups)
-    (6, 6, 3, 3, 4, 1, 1),
-    (8, 8, 4, 3, 4, 2, 1),
-    (7, 9, 4, 3, 4, 1, 4),   # depthwise
-    (8, 8, 6, 5, 6, 1, 2),
-    (9, 9, 2, 1, 5, 2, 1),
-    (10, 6, 6, 3, 12, 2, 3),
-]
-
-
-def _case(rng, hp, wp, cin, k, cout, stride, groups, dtype=np.float64):
-    xp = rng.standard_normal((hp, wp, cin)).astype(dtype)
-    w = rng.standard_normal((k, k, cin // groups, cout)).astype(dtype)
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    dy = rng.standard_normal((ho, wo, cout)).astype(dtype)
-    return xp, w, dy
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_active_path_matches_numpy_forward(case):
-    rng = np.random.default_rng(20)
-    xp, w, _ = _case(rng, *case)
-    got = kernels.conv_forward(xp, w, case[5], case[6])
-    want = kernels.conv_forward_np(xp, w, case[5], case[6])
-    assert np.abs(got - want).max() <= 1e-12
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_active_path_matches_numpy_backward(case):
-    rng = np.random.default_rng(21)
-    xp, w, dy = _case(rng, *case)
-    dxp, dw = kernels.conv_backward(xp, w, dy, case[5], case[6])
-    dxp_np, dw_np = kernels.conv_backward_np(xp, w, dy, case[5], case[6])
-    assert np.abs(dxp - dxp_np).max() <= 1e-12
-    assert np.abs(dw - dw_np).max() <= 1e-12
 
 
 def test_float32_inputs_stay_float32():
     rng = np.random.default_rng(22)
-    xp, w, dy = _case(rng, 6, 6, 3, 3, 4, 1, 1, dtype=np.float32)
+    xp = rng.standard_normal((6, 6, 3)).astype(np.float32)
+    w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
+    dy = rng.standard_normal((4, 4, 4)).astype(np.float32)
     y = kernels.conv_forward(xp, w, 1, 1)
     assert y.dtype == np.float32
     dxp, dw = kernels.conv_backward(xp, w, dy, 1, 1)
     assert dxp.dtype == np.float32 and dw.dtype == np.float32
-
-
-def test_env_flag_disables_the_jitted_path():
-    code = ("import dualtoken.kernels as k; "
-            "import sys; sys.exit(0 if not k.use_numba() else 1)")
-    env = dict(os.environ, DUALTOKEN_NUMBA="0")
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
-    assert proc.returncode == 0
-
-
-def test_numpy_fallback_runs_the_full_model():
-    code = ("import numpy as np; from dualtoken import build_model, Tensor; "
-            "m = build_model('toy_grad', seed=1); "
-            "img = np.random.default_rng(0).standard_normal((32, 32, 3)); "
-            "z, _ = m.forward(Tensor(img.astype(np.float32))); "
-            "assert np.isfinite(z.data).all()")
-    env = dict(os.environ, DUALTOKEN_NUMBA="0")
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
-    assert proc.returncode == 0

@@ -82,21 +82,22 @@ def test_linear_shape_validation():
 
 
 def test_init_is_deterministic_and_truncated():
-    a = init_params((100, 100), "trunc_normal", seed=9)
-    b = init_params((100, 100), "trunc_normal", seed=9)
+    a = init_params(np.random.default_rng(9), (100, 100), "trunc_normal")
+    b = init_params(np.random.default_rng(9), (100, 100), "trunc_normal")
     assert (a.data == b.data).all()
     assert np.abs(a.data).max() <= 0.04 + 1e-7   # clipped at 2 std
     assert abs(a.data.mean()) < 0.001
     assert 0.01 < a.data.std() < 0.03
-    c = init_params((100, 100), "trunc_normal", seed=10)
+    c = init_params(np.random.default_rng(10), (100, 100), "trunc_normal")
     assert not (a.data == c.data).all()
 
 
 def test_init_schemes():
-    assert (init_params((3,), "zeros").data == 0).all()
-    assert (init_params((3,), "ones").data == 1).all()
+    rng = np.random.default_rng(0)
+    assert (init_params(rng, (3,), "zeros").data == 0).all()
+    assert (init_params(rng, (3,), "ones").data == 1).all()
     with pytest.raises(ValueError):
-        init_params((3,), "uniform")
+        init_params(rng, (3,), "uniform")
 
 
 def test_layernorm_layer_normalizes_rows():

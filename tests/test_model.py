@@ -1,8 +1,12 @@
 """Full model assembly: shapes, determinism, serialization, and gradient
 coverage."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dualtoken import tensor as T
 from dualtoken.model import (CheckpointError, ModelConfig, StageConfig,
@@ -151,6 +155,97 @@ def test_checkpoint_supports_float64(tmp_path):
     back = read_tensors(path)["a"]
     assert back.dtype == np.float64
     assert (back == arr).all()
+
+
+def _two_tensor_blob(tmp_path):
+    path = tmp_path / "pair.dtvt"
+    rng = np.random.default_rng(0)
+    write_tensors(path, {"a": rng.standard_normal((2, 3)).astype(np.float32),
+                         "b": rng.standard_normal(2)})
+    return path, path.read_bytes()
+
+
+def test_checkpoint_duplicate_names_are_refused(tmp_path):
+    path, blob = _two_tensor_blob(tmp_path)
+    # both names are one byte long, so renaming "b" to "a" keeps the layout
+    path.write_bytes(blob.replace(b"\x01\x00b", b"\x01\x00a"))
+    with pytest.raises(CheckpointError, match="duplicate"):
+        read_tensors(path)
+
+
+def test_checkpoint_trailing_bytes_are_refused(tmp_path):
+    path, blob = _two_tensor_blob(tmp_path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
+        read_tensors(path)
+
+
+def test_checkpoint_bad_utf8_name_is_refused(tmp_path):
+    path, blob = _two_tensor_blob(tmp_path)
+    path.write_bytes(blob.replace(b"\x01\x00b", b"\x01\x00\xff"))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        read_tensors(path)
+
+
+def test_checkpoint_dims_overflowing_int64_are_refused(tmp_path):
+    # 2**32 * 2**32 wraps to 0 in int64; exact arithmetic must refuse it
+    path = tmp_path / "huge.dtvt"
+    path.write_bytes(b"DTVT" + struct.pack("<II", 1, 1) + struct.pack("<H", 1)
+                     + b"a" + struct.pack("<BB", 0, 2)
+                     + struct.pack("<QQ", 2 ** 32, 2 ** 32))
+    with pytest.raises(CheckpointError, match="truncated"):
+        read_tensors(path)
+
+
+def test_checkpoint_empty_tensor_with_impossible_dims_is_refused(tmp_path):
+    path = tmp_path / "empty.dtvt"
+    write_tensors(path, {"a": np.zeros((0, 3), np.float32)})
+    # one flipped bit: no data to read, but a dim numpy cannot represent
+    path.write_bytes(path.read_bytes().replace(struct.pack("<QQ", 0, 3),
+                                               struct.pack("<QQ", 0, 3 | 1 << 63)))
+    with pytest.raises(CheckpointError, match="bad shape"):
+        read_tensors(path)
+
+
+_names = st.text(max_size=6)
+_tensor = st.tuples(st.sampled_from([np.float32, np.float64]),
+                    st.lists(st.integers(0, 3), max_size=3))
+
+
+@st.composite
+def _damaged(draw):
+    """A valid two-tensor container and one truncation or single-bit flip."""
+    names = draw(st.lists(_names, min_size=2, max_size=2, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    named = {name: rng.standard_normal(shape).astype(dtype)
+             for name, (dtype, shape) in zip(names, draw(st.tuples(_tensor, _tensor)))}
+    return named, draw(st.booleans()), draw(st.integers(0, 2 ** 20))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_damaged())
+def test_damaged_container_reads_or_raises_checkpoint_error(tmp_path, case):
+    named, truncate, where = case
+    path = tmp_path / "fuzz.dtvt"
+    write_tensors(path, named)
+    blob = path.read_bytes()
+    back = read_tensors(path)
+    assert list(back) == list(named)
+    assert all((back[n] == a).all() and back[n].dtype == a.dtype
+               for n, a in named.items())
+    if truncate:
+        blob = blob[:where % len(blob)]
+    else:
+        bit = where % (8 * len(blob))
+        blob = bytearray(blob)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        blob = bytes(blob)
+    path.write_bytes(blob)
+    try:
+        read_tensors(path)
+    except CheckpointError:
+        pass
 
 
 def test_config_json_round_trip_is_exact():

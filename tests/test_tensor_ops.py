@@ -67,10 +67,10 @@ def test_conv2d_matches_naive_oracle(dtype):
         cases.append((int(rng.integers(4, 9)), int(rng.integers(4, 9)),
                       cin, cout, int(rng.choice([1, 3])),
                       int(rng.choice([1, 2])), int(rng.choice([0, 1])), 1))
-    # grouped and depthwise cases
-    cases += [(6, 6, 4, 4, 3, 1, 1, 4), (5, 7, 4, 4, 3, 1, 1, 2),
-              (8, 8, 6, 6, 3, 2, 1, 6), (6, 6, 4, 8, 3, 1, 0, 2),
-              (7, 7, 3, 3, 5, 1, 2, 3), (9, 9, 2, 4, 3, 2, 1, 2)]
+    # depthwise cases, and one wider dense one
+    cases += [(6, 6, 4, 4, 3, 1, 1, 4), (5, 7, 4, 4, 3, 1, 1, 4),
+              (8, 8, 6, 6, 3, 2, 1, 6), (6, 6, 4, 8, 3, 1, 0, 1),
+              (7, 7, 3, 3, 5, 1, 2, 3), (9, 9, 2, 2, 3, 2, 1, 2)]
     assert len(cases) >= 20
     for h, w, cin, cout, k, stride, pad, g in cases:
         # scaled so outputs stay O(1); the 1e-6 f32 bound is absolute
@@ -83,6 +83,12 @@ def test_conv2d_matches_naive_oracle(dtype):
                             b.astype(np.float64), stride, pad, g)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= tol_for(dtype)
+
+
+def test_conv2d_rejects_groupings_other_than_dense_and_depthwise():
+    x = Tensor(np.zeros((5, 5, 4)))
+    with pytest.raises(ValueError, match="depthwise"):
+        T.conv2d(x, Tensor(np.zeros((3, 3, 2, 4))), groups=2)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
