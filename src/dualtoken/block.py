@@ -6,6 +6,7 @@ one-step downsampling)."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,19 @@ import numpy as np
 from . import tensor as T
 from .layers import LayerNorm, Linear, MultiHeadAttention, init_params, prefixed
 from .tensor import Tensor
+
+# the values each string-valued BlockConfig field may take
+_KINDS = {
+    "mlp_kind": ("normal", "mix"),
+    "local_kind": ("conv_encoder", "window_msa"),
+    "ds_kind": ("step_wise", "one_step"),
+    "global_mode": ("position_aware_sum", "normal_msa", "position_aware_msa"),
+}
+
+
+def check_positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 @dataclass
@@ -34,8 +48,21 @@ class BlockConfig:
     resolution: int = 28              # stage feature-map side the block is built for
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        for name in ("channels", "heads", "token_grid", "ffn_ratio", "window",
+                     "num_global_tokens", "resolution"):
+            check_positive_int(name, getattr(self, name))
+        if (isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
+                or not 0.0 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must be a real number in [0, 1], got {self.alpha!r}")
+        for name, values in _KINDS.items():
+            if getattr(self, name) not in values:
+                raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
+        if not isinstance(self.bidim, bool):
+            raise ValueError(f"bidim must be true or false, got {self.bidim!r}")
+        if self.local_kind == "conv_encoder" and not self.skip_local_and_ds:
+            if self.dw_kernel is None:
+                raise ValueError("a block with the conv encoder needs a dw_kernel")
+            check_positive_int("dw_kernel", self.dw_kernel)
         if self.channels % self.heads != 0:
             raise ValueError(
                 f"channels {self.channels} not divisible by heads {self.heads}")
@@ -240,10 +267,8 @@ class TokenMLP:
         if kind == "normal":
             return cls(kind, Linear.build(rng, channels, channels),
                        Linear.build(rng, channels, channels))
-        if kind == "mix":
-            return cls(kind, Linear.build(rng, channels, channels),
-                       Linear.build(rng, n_tokens, n_tokens))
-        raise ValueError(f"unknown token MLP kind {kind!r}")
+        return cls(kind, Linear.build(rng, channels, channels),
+                   Linear.build(rng, n_tokens, n_tokens))
 
     def __call__(self, g):
         if self.kind == "normal":
@@ -336,20 +361,16 @@ class DualTokenBlock:
         else:
             if cfg.local_kind == "conv_encoder":
                 local = ConvEncoder.build(rng, c, cfg.dw_kernel)
-            elif cfg.local_kind == "window_msa":
-                local = WindowAttentionLocal.build(rng, c, h, cfg.window)
             else:
-                raise ValueError(f"unknown local kind {cfg.local_kind!r}")
+                local = WindowAttentionLocal.build(rng, c, h, cfg.window)
             ds = Downsampler.build(rng, c, cfg.ds_kind, cfg.token_grid, cfg.resolution)
         aggregate = MultiHeadAttention.build(rng, c, h)
         fuse_norm = fuse_mlp = fuse_attn = None
         if cfg.global_mode == "position_aware_sum":
             fuse_norm = LayerNorm.build(rng, c)
             fuse_mlp = TokenMLP.build(rng, c, cfg.mlp_kind, cfg.token_grid ** 2)
-        elif cfg.global_mode in ("normal_msa", "position_aware_msa"):
-            fuse_attn = MultiHeadAttention.build(rng, c, h)
         else:
-            raise ValueError(f"unknown global mode {cfg.global_mode!r}")
+            fuse_attn = MultiHeadAttention.build(rng, c, h)
         broadcast = MultiHeadAttention.build(rng, c, h)
         ffn = FFN.build(rng, c, cfg.ffn_ratio)
         bidim = BiDimAttention.build(rng, c) if cfg.bidim else None

@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .block import BlockConfig, DualTokenBlock, GlobalTokens
+from .block import BlockConfig, DualTokenBlock, GlobalTokens, check_positive_int
 from .layers import LayerNorm, Linear, init_params, prefixed
 
 
@@ -28,18 +28,13 @@ class StageConfig:
 
     def __post_init__(self):
         for name in ("blocks", "channels", "heads"):
-            _check_positive_int(f"stage {name}", getattr(self, name))
+            check_positive_int(f"stage {name}", getattr(self, name))
         if self.dw_kernel is not None:
-            _check_positive_int("stage dw_kernel", self.dw_kernel)
+            check_positive_int("stage dw_kernel", self.dw_kernel)
 
     @classmethod
     def from_dict(cls, d):
         return cls(**_known_fields(cls, d))
-
-
-def _check_positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 def _known_fields(cls, d):
@@ -86,7 +81,8 @@ class ModelConfig:
                        for s in self.stages]
         if len(self.stages) != 3:
             raise ValueError(f"expected exactly 3 stages, got {len(self.stages)}")
-        _check_positive_int("input_resolution", self.input_resolution)
+        for name in ("input_resolution", "num_classes", "head_hidden"):
+            check_positive_int(name, getattr(self, name))
         if self.input_resolution % 32 != 0:
             # stride-8 stem plus two 2x2 merges need five halvings in total
             raise ValueError("input resolution must be divisible by 32")

@@ -21,7 +21,17 @@ from scipy.special import erf, expit
 from . import kernels
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Eigen's float erf (generic_fast_erf_float): numerator coefficients of
+# z^13, z^11, ..., z^1 and denominator coefficients of z^8, z^6, ..., z^0
+_ERF_NUM = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+            -1.60960333262415e-02)
+_ERF_DEN = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+            -7.37332916720468e-03, -1.42647390514189e-02)
+# below this many elements one scipy.special.erf call beats ~25 numpy calls
+_RATIONAL_ERF_MIN_SIZE = 4096
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
@@ -235,10 +245,46 @@ def scale(a, s):
     return out
 
 
+def _phi_rational_f32(x):
+    """Phi(x) = (1 + erf(x / sqrt(2))) / 2 for a float32 array, with Eigen's
+    float erf: the argument clamped to [-4, 4] (erf is +-1 in f32 beyond),
+    then an odd degree-13 numerator over an even degree-8 denominator, both
+    by Horner in place. NaN stays NaN."""
+    z = x * _INV_SQRT2
+    np.clip(z, -4.0, 4.0, out=z)
+    z2 = z * z
+    p = z2 * _ERF_NUM[0]
+    for c in _ERF_NUM[1:-1]:
+        p += c
+        p *= z2
+    p += _ERF_NUM[-1]
+    p *= z
+    q = z2 * _ERF_DEN[0]
+    for c in _ERF_DEN[1:-1]:
+        q += c
+        q *= z2
+    q += _ERF_DEN[-1]
+    p /= q
+    p += 1.0
+    p *= 0.5
+    return p
+
+
 def gelu(x):
-    """Exact erf-based GELU: x * Phi(x)."""
+    """GELU, x * Phi(x), with Phi the normal CDF written through erf.
+
+    A float32 input of at least 4,096 elements takes the vectorised rational
+    erf of `_phi_rational_f32`: its GELU stays within 2e-6 * max(1, |x|) of
+    the exact one (at most 1.4e-6 absolute for |x| <= 12, measured). Every
+    other input, every float64 one and a smaller float32 one, takes
+    `scipy.special.erf`, which is exact to the dtype; for a small array it
+    is also the cheaper call. The backward uses the saved Phi and the exact
+    normal pdf either way."""
     x = as_tensor(x)
-    phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    if x.data.dtype == np.float32 and x.data.size >= _RATIONAL_ERF_MIN_SIZE:
+        phi = _phi_rational_f32(x.data)
+    else:
+        phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
     out = Tensor(x.data * phi)
     if _trace(x):
         def bwd(g, x=x, phi=phi):

@@ -1,8 +1,15 @@
 """Toy supervised training: cross-entropy, SGD/AdamW, a deterministic
-single-sample accumulation loop, and evaluation."""
+single-sample accumulation loop, and evaluation.
+
+The optimizer step reads each parameter's accumulated gradient as it is and
+updates the parameter and its AdamW moments in place, in blocks of 32,768
+elements with two scratch buffers per dtype. The 1/micro_batch gradient
+scale, the bias corrections, the learning rate and the decoupled weight
+decay are folded into scalars, so the step makes no full-size temporary."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,36 +58,80 @@ class TrainState:
     betas: tuple = (0.9, 0.999)
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if self.optimizer not in ("sgd", "adamw"):
+            raise ValueError(f"optimizer must be sgd or adamw, got {self.optimizer!r}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"betas must be two values in [0, 1), got {self.betas!r}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps!r}")
 
-def _apply_update(state, grads):
+
+# elements per update block: 128 KB in f32, so a block's operands stay in L2
+_BLOCK = 32768
+
+
+def _apply_update(state, micro_batch):
+    """One optimizer step from the accumulated `p.grad` (a sum over
+    `micro_batch` samples) of every parameter, in place."""
     lr = state.lr
+    params = [(name, p) for name, p in state.model.named_params()
+              if p.grad is not None]
     if state.optimizer == "sgd":
-        for name, p in state.model.named_params():
-            g = grads.get(name)
-            if g is not None:
-                p.data -= (lr * g).astype(p.data.dtype)
+        for _, p in params:
+            p.data -= (lr / micro_batch) * p.grad
         return
     b1, b2 = state.betas
     t = state.step + 1
-    for name, p in state.model.named_params():
-        g = grads.get(name)
-        if g is None:
-            continue
+    # the bias corrections, lr, decay and 1/micro_batch folded into scalars:
+    # p <- p (1 - lr wd) - lr/bc1 * m / (sqrt(v) / sqrt(bc2) + eps)
+    g1 = (1 - b1) / micro_batch
+    g2 = (1 - b2) / (micro_batch * micro_batch)
+    inv_sqrt_bc2 = 1 / math.sqrt(1 - b2 ** t)
+    step_size = lr / (1 - b1 ** t)
+    decay = 1 - lr * state.weight_decay
+    scratch = {}
+    for name, p in params:
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-        m, v = state.moments[name]
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        state.moments[name] = (m, v)
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        p.data -= (lr * (mhat / (np.sqrt(vhat) + state.eps)
-                         + state.weight_decay * p.data)).astype(p.data.dtype)
+        dt = p.data.dtype
+        if dt not in scratch:
+            scratch[dt] = (np.empty(_BLOCK, dt), np.empty(_BLOCK, dt))
+        flat = [_flat(a) for a in (p.data, p.grad, *state.moments[name])]
+        for i in range(0, p.data.size, _BLOCK):
+            pb, gb, mb, vb = (a[i:i + _BLOCK] for a in flat)
+            s1, s2 = (s[:pb.size] for s in scratch[dt])
+            mb *= b1
+            np.multiply(gb, g1, out=s1)
+            mb += s1
+            vb *= b2
+            np.multiply(gb, gb, out=s1)
+            s1 *= g2
+            vb += s1
+            np.sqrt(vb, out=s1)
+            s1 *= inv_sqrt_bc2
+            s1 += state.eps
+            np.divide(mb, s1, out=s2)
+            s2 *= step_size
+            pb *= decay
+            pb -= s2
+
+
+def _flat(a):
+    """A 1-d view of a C-contiguous array; in-place writes reach `a`."""
+    if not a.flags.c_contiguous:
+        raise ValueError("optimizer buffers must be C-contiguous")
+    return a.reshape(-1)
 
 
 def train_step(state, dataset, micro_batch=8):
     """One optimizer step: gradient accumulation over `micro_batch`
-    consecutive samples (deterministic round-robin order)."""
+    consecutive samples (deterministic round-robin order). A non-finite
+    value in the forward pass or the loss raises `TrainingDiverged`."""
     model = state.model
     params = model.param_dict()
     for p in params.values():
@@ -91,17 +142,18 @@ def train_step(state, dataset, micro_batch=8):
         idx = (state.step * micro_batch + j) % n
         image = Tensor(dataset.images[idx])
         tape = GradTape()
-        with tape:
-            logits, _ = model.forward(image, want_activations=False)
-            loss = cross_entropy(logits, dataset.labels[idx])
+        try:
+            with tape:
+                logits, _ = model.forward(image, want_activations=False)
+                loss = cross_entropy(logits, dataset.labels[idx])
+        except FloatingPointError as exc:
+            raise TrainingDiverged(state.step) from exc
         T.backward(tape, loss)
         total += loss.item()
     mean_loss = total / micro_batch
     if not np.isfinite(mean_loss):
         raise TrainingDiverged(state.step)
-    grads = {name: p.grad / micro_batch for name, p in params.items()
-             if p.grad is not None}
-    _apply_update(state, grads)
+    _apply_update(state, micro_batch)
     state.step += 1
     state.loss_history.append(mean_loss)
     return mean_loss

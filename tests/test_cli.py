@@ -159,3 +159,17 @@ def test_config_with_non_list_stages_is_one_fail_line(tmp_path):
     config = tmp_path / "stages.json"
     config.write_text(json.dumps({"stages": 5}))
     assert_one_fail_line(*run_process(["dump-config", "--config", str(config)]))
+
+
+def test_config_with_a_mistyped_alpha_is_one_fail_line(tmp_path):
+    config = tmp_path / "alpha.json"
+    config.write_text(json.dumps(dict(preset("toy").to_dict(), alpha="x")))
+    assert_one_fail_line(*run_process(["dump-config", "--config", str(config)]))
+
+
+def test_train_with_a_nan_learning_rate_is_one_fail_line():
+    code, out, err = run_process(["train", "--preset", "toy", "--steps", "3",
+                                  "--lr", "nan"])
+    assert_one_fail_line(code, out, err)
+    # refused before the first step, not by a later non-finite forward
+    assert out.startswith("FAIL ValueError") and "lr" in out

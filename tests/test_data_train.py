@@ -9,8 +9,9 @@ from dualtoken.data import (SyntheticDataset, gen_synthetic, load_dataset,
 from dualtoken.model import (CheckpointError, build_model, preset,
                              read_tensors, write_tensors)
 from dualtoken.tensor import Tensor
-from dualtoken.train import (TrainState, cross_entropy, evaluate, load_state,
-                             save_state, train_step, train_toy)
+from dualtoken.train import (TrainState, TrainingDiverged, _apply_update,
+                             cross_entropy, evaluate, load_state, save_state,
+                             train_step, train_toy)
 
 
 def small_dataset(n=64, seed=42):
@@ -168,3 +169,92 @@ def test_evaluate_is_order_invariant():
     shuffled = SyntheticDataset(ds.images[perm], ds.labels[perm],
                                 ds.classes, ds.seed)
     assert evaluate(model, ds) == evaluate(model, shuffled)
+
+
+def _reference_update(state, grads):
+    """The optimizer step as first written, one full-size array per term;
+    `grads` are already divided by the micro-batch."""
+    lr = state.lr
+    if state.optimizer == "sgd":
+        for name, p in state.model.named_params():
+            p.data -= (lr * grads[name]).astype(p.data.dtype)
+        return
+    b1, b2 = state.betas
+    t = state.step + 1
+    for name, p in state.model.named_params():
+        g = grads[name]
+        if name not in state.moments:
+            state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = state.moments[name]
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        state.moments[name] = (m, v)
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        p.data -= (lr * (mhat / (np.sqrt(vhat) + state.eps)
+                         + state.weight_decay * p.data)).astype(p.data.dtype)
+
+
+class _Params:
+    """Stands in for a model: the optimizer needs only `named_params`."""
+
+    def __init__(self, rng, dtype):
+        # one shape under a block, one of exactly two blocks, and one larger
+        # than a block whose size is not a multiple of it
+        shapes = {"small": (5, 3), "two_blocks": (2, 32768), "ragged": (300, 250)}
+        self.params = {n: Tensor(rng.standard_normal(s).astype(dtype))
+                       for n, s in shapes.items()}
+
+    def named_params(self):
+        return iter(self.params.items())
+
+
+@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_in_place_update_matches_the_reference(optimizer, dtype, tol):
+    micro_batch = 8
+    fast = TrainState(model=_Params(np.random.default_rng(0), dtype),
+                      optimizer=optimizer, lr=1e-2)
+    slow = TrainState(model=_Params(np.random.default_rng(0), dtype),
+                      optimizer=optimizer, lr=1e-2)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        for name, p in fast.model.named_params():
+            p.grad = (micro_batch * rng.standard_normal(p.shape)).astype(dtype)
+        _apply_update(fast, micro_batch)
+        _reference_update(slow, {n: p.grad / micro_batch
+                                 for n, p in fast.model.named_params()})
+        fast.step += 1
+        slow.step += 1
+
+    def close(got, want):
+        assert got.dtype == want.dtype == dtype
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    for name, p in fast.model.named_params():
+        close(p.data, slow.model.params[name].data)
+    assert fast.moments.keys() == slow.moments.keys()
+    for name, (m, v) in fast.moments.items():
+        close(m, slow.moments[name][0])
+        close(v, slow.moments[name][1])
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-1e-3),
+    dict(weight_decay=float("nan")), dict(weight_decay=-0.1),
+    dict(betas=(1.0, 0.999)), dict(betas=(0.9, -0.1)), dict(eps=0.0),
+    dict(optimizer="adam"),
+])
+def test_train_state_rejects_bad_hyperparameters(kwargs):
+    args = dict(model=build_model("toy_grad", seed=1), optimizer="adamw", lr=1e-3)
+    with pytest.raises(ValueError):
+        TrainState(**{**args, **kwargs})
+
+
+def test_non_finite_parameters_raise_training_diverged():
+    model = build_model("toy_grad", seed=1)
+    model.param_dict()["stem.conv0.weight"].data[...] = np.nan
+    state = TrainState(model=model, optimizer="adamw", lr=1e-3)
+    with pytest.raises(TrainingDiverged) as info:
+        train_step(state, grad_dataset(n=8))
+    assert info.value.step == 0

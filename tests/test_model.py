@@ -272,6 +272,21 @@ def test_config_structural_validation():
         ModelConfig(stages=[stage, stage,
                             {"blocks": 1, "channels": 9, "heads": 2}])
 
+    toy = preset("toy").to_dict()
+    ModelConfig.from_dict(toy)
+    for field, value in [("alpha", "x"), ("alpha", True), ("alpha", float("nan")),
+                         ("token_grid", "7"), ("ffn_ratio", 0), ("window", 2.0),
+                         ("num_global_tokens", -1), ("num_classes", 0),
+                         ("head_hidden", -1), ("mlp_kind", "bogus"),
+                         ("local_kind", "conv"), ("ds_kind", None),
+                         ("global_mode", "sum"), ("bidim", "no"), ("bidim", 1)]:
+        with pytest.raises(ValueError, match=field):
+            ModelConfig.from_dict(dict(toy, **{field: value}))
+    no_kernel = dict(toy, stages=[dict(toy["stages"][0], dw_kernel=None),
+                                  *toy["stages"][1:]])
+    with pytest.raises(ValueError, match="dw_kernel"):
+        ModelConfig.from_dict(no_kernel)
+
 
 def test_preset_names_and_unknown_preset():
     for name in ("dualtoken_t", "dualtoken_t_mix", "dualtoken_s",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dualtoken import tensor as T
 from dualtoken.tensor import GradTape, Tensor
@@ -180,6 +181,24 @@ def test_gelu_and_sigmoid_reference_points():
     assert abs(g[1] - 0.8413447460685429) < 1e-6
     s = T.sigmoid(Tensor(np.array([0.0]))).data
     assert abs(s[0] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4095, 4096])
+def test_float32_gelu_matches_the_float64_erf_gelu(n):
+    # 4,095 elements take scipy's erf, 4,096 the rational one
+    x = np.linspace(-12.0, 12.0, n).astype(np.float32)
+    got = T.gelu(Tensor(x)).data
+    assert got.dtype == np.float32
+    x64 = x.astype(np.float64)
+    want = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+    assert (np.abs(got - want) <= 2e-6 * np.maximum(1.0, np.abs(x64))).all()
+
+    special = np.full(n, 0.5, np.float32)
+    special[:3] = [np.inf, -np.inf, np.nan]
+    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+        got = T.gelu(Tensor(special)).data
+        want = T.gelu(Tensor(special.astype(np.float64))).data
+    assert (np.isfinite(got) == np.isfinite(want)).all()
 
 
 def test_broadcast_gradient_unbroadcasts_to_parameter_shape():
