@@ -82,7 +82,7 @@ def count_flops(cfg: ModelConfig, resolution=None) -> CostReport:
     entries = []
     g = cfg.token_grid
     t = g * g
-    n_g = cfg.num_global_tokens if cfg.global_mode == "normal_msa" else t
+    n_g = cfg.block_config(0).global_token_count
     c1 = cfg.stages[0].channels
     mid = max(c1 // 2, 1)
     s = resolution
@@ -177,10 +177,13 @@ def extract_attention_map(model: Model, image, block="last", query="mean"):
     image-token index, "mean" (average over all queries), or "all".
     """
     image = image if isinstance(image, Tensor) else Tensor(image)
-    _, acts = model.forward(image)
-    idx = len(acts) - 1 if block == "last" else int(block)
-    act = acts[idx]
-    attn = act.broadcast_attention  # N x n_g
+    _, attention = model.forward(image)
+    paths = list(attention)
+    idx = len(paths) - 1 if block == "last" else int(block)
+    if not 0 <= idx < len(paths):
+        raise ValueError(f"block index {idx} out of range [0, {len(paths)})")
+    source_block = paths[idx]
+    attn = attention[source_block]  # N x n_g
     n = attn.shape[0]
     side = model.cfg.token_grid if model.cfg.global_mode != "normal_msa" else None
 
@@ -200,7 +203,7 @@ def extract_attention_map(model: Model, image, block="last", query="mean"):
         maps = [shaped(attn[q])]
         queries = [q]
     return AttentionMapExport(query=query, maps=maps, queries=queries,
-                              source_block=act.label)
+                              source_block=source_block)
 
 
 def top_cells(map2d, k=8):

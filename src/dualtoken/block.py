@@ -9,11 +9,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .layers import LayerNorm, Linear, MultiHeadAttention, init_params, prefixed
-from .tensor import Tensor
 
 # the values each string-valued BlockConfig field may take
 _KINDS = {
@@ -77,27 +74,6 @@ class BlockConfig:
         if self.global_mode == "normal_msa":
             return self.num_global_tokens
         return self.token_grid * self.token_grid
-
-
-@dataclass
-class GlobalTokens:
-    """The auxiliary token set threaded across blocks; position-aware tokens
-    keep a g x g grid arrangement, normal tokens are a flat list."""
-    tokens: Tensor  # n x C
-    grid_side: int | None
-
-
-@dataclass
-class BlockActivations:
-    x_local: Tensor
-    x_ds: Tensor
-    x_ga: Tensor
-    g_new: Tensor
-    x_global: Tensor
-    x_new: Tensor
-    broadcast_attention: np.ndarray  # N x n_g, post-softmax, head-averaged
-    used_interpolation: bool = False
-    label: str = ""
 
 
 def ds_plan(resolution, grid, n_convs):
@@ -203,9 +179,9 @@ class WindowAttentionLocal:
 class Downsampler:
     """Reduce the local feature map to the g x g aggregation grid.
 
-    kind 'step_wise': one avgpool, then conv+avgpool repetitions; 'one_step':
-    a single pooling; 'skip': identity. Whenever the result misses the grid,
-    bilinear resampling makes up the difference.
+    kind 'step_wise': the ds_plan schedule (one avgpool, then conv+avgpool
+    repetitions); 'one_step': a single pooling; 'skip': identity. Whenever
+    the result misses the grid, bilinear resampling makes up the difference.
     """
 
     def __init__(self, kind, grid, convs):
@@ -231,21 +207,14 @@ class Downsampler:
             if h > g and h % g == 0:
                 y = T.avgpool2d(y, h // g)
         elif self.kind == "step_wise":
-            ci = 0
-            first = True
-            while y.shape[0] > g and y.shape[0] % 2 == 0 and y.shape[0] // 2 >= g:
-                if not first:
-                    if ci >= len(self.convs):
-                        break
-                    w, b = self.convs[ci]
-                    y = T.conv2d(y, w, b, padding="same")
-                    ci += 1
+            sizes, final = ds_plan(y.shape[0], g, len(self.convs))
+            if final < y.shape[0]:
                 y = T.avgpool2d(y, 2)
-                first = False
-        used_interp = y.shape[0] != g or y.shape[1] != g
-        if used_interp:
+            for w, b in self.convs[:len(sizes)]:
+                y = T.avgpool2d(T.conv2d(y, w, b, padding="same"), 2)
+        if y.shape[0] != g or y.shape[1] != g:
             y = T.bilinear_resize(y, g, g)
-        return y, used_interp
+        return y
 
     def named_params(self):
         for i, (w, b) in enumerate(self.convs):
@@ -377,7 +346,8 @@ class DualTokenBlock:
         return cls(cfg, local, ds, aggregate, fuse_norm, fuse_mlp, fuse_attn,
                    broadcast, ffn, bidim)
 
-    # individual pipeline pieces, exposed for direct testing ----------------
+    # pipeline stages, called by name from __call__ (perfbench/tracing.py
+    # wraps each of them as a block.* span) ---------------------------------
 
     def local_branch(self, x):
         return x if self.local is None else self.local(x)
@@ -406,27 +376,21 @@ class DualTokenBlock:
 
     # full pipeline ---------------------------------------------------------
 
-    def __call__(self, x, g: GlobalTokens, label=""):
+    def __call__(self, x, g):
+        """x: h x w x C map, g: n_g x C global tokens. Returns the updated map,
+        the updated global tokens, and the head-averaged broadcast attention
+        (h*w x n_g, post-softmax)."""
         h, w, c = x.shape
         x_local = self.local_branch(x)
-        x_ds, used_interp = self.downsample(x_local)
         grid = self.cfg.token_grid
-        x_ds_tokens = T.reshape(x_ds, (grid * grid, c))
-        x_ga = self.global_aggregate(x_ds_tokens)
-        g_new = self.fuse_global_tokens(g.tokens, x_ga)
+        x_ds_tokens = T.reshape(self.downsample(x_local), (grid * grid, c))
+        g_new = self.fuse_global_tokens(g, self.global_aggregate(x_ds_tokens))
         x_local_tokens = T.reshape(x_local, (h * w, c))
         x_global, attn = self.global_broadcast(x_local_tokens, g_new)
-        x_new = T.add(x_local_tokens, x_global)
-        y = self.ffn(x_new)
+        y = self.ffn(T.add(x_local_tokens, x_global))
         if self.bidim is not None:
             y = self.bidim(y)
-        x_out = T.reshape(y, (h, w, c))
-        g_out = GlobalTokens(T.add(g.tokens, g_new), g.grid_side)
-        acts = BlockActivations(
-            x_local=x_local, x_ds=x_ds, x_ga=x_ga, g_new=g_new,
-            x_global=x_global, x_new=x_new, broadcast_attention=attn,
-            used_interpolation=used_interp, label=label)
-        return x_out, g_out, acts
+        return T.reshape(y, (h, w, c)), T.add(g, g_new), attn
 
     def named_params(self):
         if self.local is not None:

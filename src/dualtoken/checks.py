@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .block import BlockConfig, DualTokenBlock, GlobalTokens
+from .block import BlockConfig, DualTokenBlock
 from .gradcheck import central_differences, grad_check
 from .model import build_model, preset
 from .tensor import GradTape, Tensor
@@ -111,7 +111,7 @@ def gradcheck_blocks(tol=1e-4):
     run("conv_encoder", lambda x: T.mean(block.local(x)), _rand(rng, 4, 4, 4))
     # resolution 8 -> grid 2 exercises the conv-then-pool repetitions
     _, ds_block = _tiny_block(rng, resolution=8)
-    run("stepwise_downsample", lambda x: T.mean(ds_block.ds(x)[0]),
+    run("stepwise_downsample", lambda x: T.mean(ds_block.ds(x)),
         _rand(rng, 8, 8, 4))
     run("global_aggregate", lambda x: T.mean(block.aggregate(x)), _rand(rng, 4, 4))
     run("token_mlp", lambda x: T.mean(block.fuse_mlp(x)), _rand(rng, 4, 4))
@@ -133,7 +133,7 @@ def gradcheck_blocks(tol=1e-4):
     run("window_msa_local", lambda x: T.mean(win_block.local(x)), _rand(rng, 14, 7, 4))
 
     _, onestep_block = _tiny_block(rng, ds_kind="one_step", resolution=8)
-    run("one_step_downsample", lambda x: T.mean(onestep_block.ds(x)[0]),
+    run("one_step_downsample", lambda x: T.mean(onestep_block.ds(x)),
         _rand(rng, 8, 8, 4))
 
     for mode in ("normal_msa", "position_aware_msa"):
@@ -146,14 +146,14 @@ def gradcheck_blocks(tol=1e-4):
 
     g0 = Tensor(rng.standard_normal((4, 4)))
     def full_block(x, block=block, g0=g0):
-        out, g_out, _ = block(x, GlobalTokens(g0, 2))
-        return T.add(T.mean(out), T.mean(g_out.tokens))
+        out, g_out, _ = block(x, g0)
+        return T.add(T.mean(out), T.mean(g_out))
     run("dual_token_block.x", full_block, _rand(rng, 4, 4, 4))
 
     x0 = Tensor(rng.standard_normal((4, 4, 4)))
     def full_block_g(g, block=block, x0=x0):
-        out, g_out, _ = block(x0, GlobalTokens(g, 2))
-        return T.add(T.mean(out), T.mean(g_out.tokens))
+        out, g_out, _ = block(x0, g)
+        return T.add(T.mean(out), T.mean(g_out))
     run("dual_token_block.g", full_block_g, _rand(rng, 4, 4))
 
     results.append(("cross_entropy", _cross_entropy_check(tol)))

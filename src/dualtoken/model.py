@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .block import BlockConfig, DualTokenBlock, GlobalTokens, check_positive_int
+from .block import BlockConfig, DualTokenBlock, check_positive_int
 from .layers import LayerNorm, Linear, init_params, prefixed
 
 
@@ -236,6 +236,14 @@ class Model:
         self.head_lin2 = head_lin2
 
     def forward(self, images, want_activations=True):
+        """Classify one S x S x 3 image.
+
+        Returns (logits, attention): the `num_classes` logits, and a dict in
+        block order from each block's path ("stage1.block0", ...) to its
+        head-averaged broadcast attention, an N x n_g array over the block's
+        N image tokens and n_g global tokens. The dict is empty when
+        `want_activations` is False.
+        """
         cfg = self.cfg
         if (len(images.shape) != 3 or images.shape[0] != images.shape[1]
                 or images.shape[2] != 3):
@@ -244,23 +252,22 @@ class Model:
         if s % 32 != 0:
             raise ValueError(f"input side {s} not divisible by 32")
         x = self.stem(images)
-        grid_side = None if cfg.global_mode == "normal_msa" else cfg.token_grid
-        g = GlobalTokens(self.g_init, grid_side)
-        acts = []
+        g = self.g_init
+        attention = {}
         for si, blocks in enumerate(self.stages):
             if si > 0:
                 x = self.merges[si - 1](x)
-                g = GlobalTokens(self.g_projs[si - 1](g.tokens), g.grid_side)
+                g = self.g_projs[si - 1](g)
             for bi, block in enumerate(blocks):
-                x, g, a = block(x, g, label=f"stage{si + 1}.block{bi}")
+                x, g, attn = block(x, g)
                 if want_activations:
-                    acts.append(a)
+                    attention[f"stage{si + 1}.block{bi}"] = attn
         h, w, c = x.shape
         tokens = T.reshape(x, (h * w, c))
         pooled = T.mean(self.head_norm(tokens), axis=0, keepdims=True)
         y = T.gelu(self.head_lin1(pooled))
         logits = T.reshape(self.head_lin2(y), (cfg.num_classes,))
-        return logits, acts
+        return logits, attention
 
     def named_params(self):
         yield from prefixed("stem", self.stem.named_params())
@@ -292,7 +299,7 @@ def build_model(cfg, seed=42):
     rng = np.random.default_rng(seed)
     c1 = cfg.stages[0].channels
     stem = Stem.build(rng, c1)
-    n_g = cfg.num_global_tokens if cfg.global_mode == "normal_msa" else cfg.token_grid ** 2
+    n_g = cfg.block_config(0).global_token_count
     g_init = init_params(rng, (n_g, c1), "trunc_normal")
     stages = []
     merges = []

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .block import check_positive_int
 from .model import CheckpointError, Model, build_model, read_tensors, write_tensors
 from .tensor import GradTape, Tensor
 
@@ -162,6 +163,7 @@ def train_step(state, dataset, micro_batch=8):
 def train_toy(cfg, dataset, steps=200, lr=1e-3, optimizer="adamw", seed=42,
               micro_batch=8, state=None, log=None):
     """Run `steps` optimizer steps on the dataset; resumable via `state`."""
+    check_positive_int("steps", steps)
     if state is None:
         model = cfg if isinstance(cfg, Model) else build_model(cfg, seed=seed)
         state = TrainState(model=model, optimizer=optimizer, lr=lr)

@@ -6,8 +6,8 @@ import pytest
 
 from dualtoken import tensor as T
 from dualtoken.block import (BlockConfig, ConvEncoder, DualTokenBlock,
-                             Downsampler, GlobalTokens, WindowAttentionLocal,
-                             ds_conv_count, ds_plan)
+                             Downsampler, WindowAttentionLocal, ds_conv_count,
+                             ds_plan)
 from dualtoken.layers import MultiHeadAttention
 from dualtoken.tensor import Tensor
 
@@ -35,22 +35,28 @@ def test_ds_plan_falls_short_at_off_grid_resolutions():
     assert sizes == [16] and final == 8
 
 
-def test_stepwise_downsampler_interpolates_only_off_grid():
+def test_stepwise_downsampler_interpolates_only_off_grid(bilinear_calls):
     rng = np.random.default_rng(40)
     ds28 = Downsampler.build(np.random.default_rng(41), 4, "step_wise", 7, 28)
-    y, interp = ds28(Tensor(rng.standard_normal((28, 28, 4)).astype(np.float32)))
-    assert y.shape == (7, 7, 4) and not interp
-    ds32 = Downsampler.build(np.random.default_rng(42), 4, "step_wise", 7, 32)
-    y, interp = ds32(Tensor(rng.standard_normal((32, 32, 4)).astype(np.float32)))
-    assert y.shape == (7, 7, 4) and interp
+    y = ds28(Tensor(rng.standard_normal((28, 28, 4)).astype(np.float32)))
+    assert y.shape == (7, 7, 4) and bilinear_calls == []
+    # the schedule follows the map it gets: 14 -> pool 7, the conv unused
+    x14 = rng.standard_normal((14, 14, 4)).astype(np.float32)
+    y = ds28(Tensor(x14))
+    want = x14.reshape(7, 2, 7, 2, 4).mean(axis=(1, 3))
+    assert np.abs(y.data - want).max() <= 1e-6 and bilinear_calls == []
+    ds32 =Downsampler.build(np.random.default_rng(42), 4, "step_wise", 7, 32)
+    y = ds32(Tensor(rng.standard_normal((32, 32, 4)).astype(np.float32)))
+    # 32 -> pool 16 -> conv+pool 8, then resampled to the 7-grid
+    assert y.shape == (7, 7, 4) and bilinear_calls == [(8, 8)]
 
 
-def test_one_step_downsampler_is_a_single_pool():
+def test_one_step_downsampler_is_a_single_pool(bilinear_calls):
     rng = np.random.default_rng(43)
     ds = Downsampler("one_step", 7, [])
     x = rng.standard_normal((28, 28, 3)).astype(np.float32)
-    y, interp = ds(Tensor(x))
-    assert not interp
+    y = ds(Tensor(x))
+    assert bilinear_calls == []
     want = x.reshape(7, 4, 7, 4, 3).mean(axis=(1, 3))
     assert np.abs(y.data - want).max() <= 1e-6
 
@@ -115,18 +121,18 @@ def test_global_tokens_residual_identity_when_fusion_is_zero():
     rng = np.random.default_rng(52)
     g0 = rng.standard_normal((4, 8)).astype(np.float32)
     x = Tensor(rng.standard_normal((4, 4, 8)).astype(np.float32))
-    _, g_out, acts = block(x, GlobalTokens(Tensor(g0), 2))
-    assert (acts.g_new.data == 0.0).all()
-    assert (g_out.tokens.data == g0).all()
+    x_ga = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+    assert (block.fuse_global_tokens(Tensor(g0), x_ga).data == 0.0).all()
+    _, g_out, _ = block(x, Tensor(g0))
+    assert (g_out.data == g0).all()
 
 
 def test_broadcast_attention_rows_sum_to_one():
     _, block = build_block()
     rng = np.random.default_rng(53)
     x = Tensor(rng.standard_normal((4, 4, 8)).astype(np.float32))
-    g = GlobalTokens(Tensor(rng.standard_normal((4, 8)).astype(np.float32)), 2)
-    _, _, acts = block(x, g)
-    attn = acts.broadcast_attention
+    g = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+    _, _, attn = block(x, g)
     assert attn.shape == (16, 4)
     assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-6
 
@@ -135,14 +141,17 @@ def test_block_shape_contract_and_activation_shapes():
     cfg, block = build_block(resolution=8)
     rng = np.random.default_rng(54)
     x = Tensor(rng.standard_normal((8, 8, 8)).astype(np.float32))
-    g = GlobalTokens(Tensor(rng.standard_normal((4, 8)).astype(np.float32)), 2)
-    x_out, g_out, acts = block(x, g, label="probe")
+    g = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+    x_out, g_out, attn = block(x, g)
     assert x_out.shape == (8, 8, 8)
-    assert g_out.tokens.shape == (4, 8)
-    assert acts.x_ds.shape == (2, 2, 8)
-    assert acts.x_ga.shape == (4, 8)
-    assert acts.x_new.shape == (64, 8)
-    assert acts.label == "probe"
+    assert g_out.shape == (4, 8)
+    # one broadcast-attention row per image token, one column per global token
+    assert attn.shape == (64, 4)
+    # the stages __call__ runs in turn: the map pools to the 2x2 grid,
+    # whose 4 tokens the aggregation keeps
+    x_ds = block.downsample(block.local_branch(x))
+    assert x_ds.shape == (2, 2, 8)
+    assert block.global_aggregate(T.reshape(x_ds, (4, 8))).shape == (4, 8)
 
 
 def test_normal_token_mode_uses_a_flat_token_list():
@@ -150,10 +159,10 @@ def test_normal_token_mode_uses_a_flat_token_list():
     assert cfg.global_token_count == 5
     rng = np.random.default_rng(55)
     x = Tensor(rng.standard_normal((4, 4, 8)).astype(np.float32))
-    g = GlobalTokens(Tensor(rng.standard_normal((5, 8)).astype(np.float32)), None)
-    x_out, g_out, acts = block(x, g)
-    assert g_out.tokens.shape == (5, 8)
-    assert acts.broadcast_attention.shape == (16, 5)
+    g = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
+    x_out, g_out, attn = block(x, g)
+    assert g_out.shape == (5, 8)
+    assert attn.shape == (16, 5)
 
 
 def test_mix_mlp_is_bound_to_its_token_count():

@@ -173,3 +173,11 @@ def test_train_with_a_nan_learning_rate_is_one_fail_line():
     assert_one_fail_line(code, out, err)
     # refused before the first step, not by a later non-finite forward
     assert out.startswith("FAIL ValueError") and "lr" in out
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_train_with_no_steps_is_one_fail_line(steps):
+    code, out, err = run_process(["train", "--preset", "toy_grad", "--steps", steps])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError") and "steps" in out
+    assert "Warning" not in err

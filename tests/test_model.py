@@ -23,17 +23,16 @@ def random_image(side, seed=0):
 
 def test_stride_ladder_and_grid_sides():
     model = build_model("toy", seed=1)
-    logits, acts = model.forward(random_image(32))
+    logits, attention = model.forward(random_image(32))
     assert logits.shape == (8,)
     assert np.isfinite(logits.data).all()
-    # feature-map sides follow the 1/8, 1/16, 1/32 ladder
-    sides = [a.x_local.shape[0] for a in acts]
-    assert sides == [32 // 8, 32 // 16, 32 // 32]
-    assert [a.label for a in acts] == ["stage1.block0", "stage2.block0",
-                                      "stage3.block0"]
-    # every aggregated map lands on the token grid (2x2 = 4 tokens)
-    for a in acts:
-        assert a.x_ga.shape[0] == 4
+    assert list(attention) == ["stage1.block0", "stage2.block0", "stage3.block0"]
+    # one attention row per image token: map sides follow the 1/8, 1/16,
+    # 1/32 ladder; one column per global token on the 2x2 grid
+    shapes = [a.shape for a in attention.values()]
+    assert shapes == [((32 // 8) ** 2, 4), ((32 // 16) ** 2, 4), ((32 // 32) ** 2, 4)]
+    quiet, none = model.forward(random_image(32), want_activations=False)
+    assert none == {} and (quiet.data == logits.data).all()
 
 
 def test_global_tokens_propagate_and_change_the_output():
@@ -57,19 +56,20 @@ def test_forward_is_deterministic_and_build_is_seeded():
     assert not (za.data == zc.data).all()
 
 
-def test_off_grid_resolution_uses_the_interpolation_fallback():
+def test_off_grid_resolution_uses_the_interpolation_fallback(bilinear_calls):
     cfg = preset("toy")
     cfg.input_resolution = 64
     cfg.token_grid = 3   # stage maps 8/4/2 never pool exactly to 3x3
     model = build_model(cfg, seed=5)
-    logits, acts = model.forward(random_image(64, seed=6))
+    logits, _ = model.forward(random_image(64, seed=6))
     assert np.isfinite(logits.data).all()
-    assert any(a.used_interpolation for a in acts)
+    assert bilinear_calls
     # with grid 2 the same 8/4/2 ladder pools exactly, no interpolation
+    bilinear_calls.clear()
     on_grid = preset("toy")
     on_grid.input_resolution = 64
-    _, acts64 = build_model(on_grid, seed=5).forward(random_image(64, seed=6))
-    assert not any(a.used_interpolation for a in acts64)
+    build_model(on_grid, seed=5).forward(random_image(64, seed=6))
+    assert bilinear_calls == []
 
 
 def test_input_validation():
