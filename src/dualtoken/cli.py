@@ -189,9 +189,18 @@ def cmd_dump_config(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error follows the failure contract: the usage goes to stderr,
+    then one FAIL line, and exit 1. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _fail("UsageError", "success", message.replace(" ", "_"), 0)
+        self.exit(1)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="dualtoken",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="dualtoken", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, config=True):
@@ -255,7 +264,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FloatingPointError, FileNotFoundError,
+    except (ValueError, FloatingPointError, OSError,
             train_mod.TrainingDiverged) as exc:
         _fail(type(exc).__name__, "success", str(exc).replace(" ", "_"), 0)
         return 1

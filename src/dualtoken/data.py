@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .block import check_positive_int
 from .model import read_tensors, write_tensors
 
 
@@ -27,6 +28,7 @@ class SyntheticDataset:
 
 def gen_synthetic(seed=42, n=800, classes=8, side=32, patch=None, noise=0.15):
     """Deterministic dataset; labels are assigned round-robin (i % classes)."""
+    check_positive_int("n", n)
     if side % 8 != 0:
         raise ValueError(f"side {side} must be divisible by 8")
     if classes < 2:

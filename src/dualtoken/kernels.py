@@ -1,16 +1,30 @@
-"""Convolution loops in numpy, one pass per kernel tap.
+"""Convolution kernels in numpy: one GEMM or one einsum per contraction.
 
-Two groupings are supported, the two the model uses. Dense convolutions
-(groups == 1) are one BLAS matmul per tap. Depthwise convolutions
-(groups == Cin == Cout) are one broadcast multiply per tap. `tensor.conv2d`
-rejects every other grouping before it gets here.
+Two groupings are supported, the two the model uses; `tensor.conv2d`
+rejects every other grouping before it gets here. Inputs are read through
+`sliding_window_view` windows, and no kernel loops over taps through a
+matmul or a per-tap temporary.
+
+- Dense convolutions (groups == 1) gather every receptive field once into
+  an (Ho*Wo) x (kh*kw*Cin) matrix (a 1 x 1 stride-1 conv's is the input
+  itself, with no copy), so the forward is one GEMM against the weights as
+  a (kh*kw*Cin) x Cout matrix. The backward is two GEMMs, dW = cols^T dy
+  and dcols = dy W^T, then one strided in-place add per tap into dx.
+- Depthwise convolutions (groups == Cin == Cout) are one `np.einsum` over a
+  window view of the input rows flattened to W*C, so that each output row
+  is a run of Wo*C contiguous elements. A strided one keeps every
+  stride-th output of the stride-1 correlation. dW contracts the
+  (Ho, Wo, C, kh, kw) window view at the stride with dy. dx is the full
+  correlation of dy, zero-dilated by the stride and padded by the kernel
+  extent, with the flipped taps: the forward's contraction again.
 
 Layout conventions: feature maps are H x W x C (channel-last), weights are
 kh x kw x (Cin/groups) x Cout. Inputs arrive already padded; `stride` and
-`groups` are plain ints.
+`groups` are plain ints. Outputs keep the input dtype.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def use_numba():
@@ -18,38 +32,69 @@ def use_numba():
     return False
 
 
-def conv_forward(xp, w, stride, groups):
+def _windows(xp, kh, kw, stride):
+    """The read-only (Ho, Wo, C, kh, kw) view of every receptive field."""
+    return sliding_window_view(xp, (kh, kw), axis=(0, 1))[::stride, ::stride]
+
+
+def _im2col(xp, kh, kw, stride):
+    """The receptive fields as the rows of an (Ho*Wo) x (kh*kw*C) matrix,
+    columns in the weights' (kh, kw, C) order. A 1 x 1 stride-1 conv's is
+    xp itself, reshaped without a copy or a window view."""
+    if kh == kw == stride == 1:
+        return xp.reshape(-1, xp.shape[2])
+    win = _windows(xp, kh, kw, stride).transpose(0, 1, 3, 4, 2)
+    return win.reshape(win.shape[0] * win.shape[1], -1)
+
+
+def _depthwise(xp, taps):
+    """Stride-1 depthwise cross-correlation of xp with kh x kw x C `taps`.
+
+    Output row h, flattened to Wo*C, is the sum over taps (k, l) of input
+    row h+k from element l*C on, times the taps' channel values tiled Wo
+    times. The window view over the flattened rows gives einsum an inner
+    loop of Wo*C contiguous elements rather than C."""
+    kh, kw, c = taps.shape
     hp, wp = xp.shape[:2]
+    wo = wp - kw + 1
+    rows = sliding_window_view(xp.reshape(hp, wp * c), (kh, wo * c))[:, ::c]
+    tiled = np.broadcast_to(taps[:, :, None, :], (kh, kw, wo, c)).reshape(kh, kw, wo * c)
+    return np.einsum("hlkj,klj->hj", rows, tiled).reshape(-1, wo, c)
+
+
+def conv_forward(xp, w, stride, groups):
     kh, kw, _, cout = w.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    out = np.zeros((ho, wo, cout), dtype=xp.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            xs = xp[ki:ki + ho * stride:stride, kj:kj + wo * stride:stride, :]
-            if groups == 1:
-                out += xs @ w[ki, kj]
-            else:  # depthwise: one input channel per output channel
-                out += xs * w[ki, kj, 0, :]
-    return out
+    if groups != 1:
+        y = _depthwise(xp, w[:, :, 0, :])
+        # a strided depthwise conv (none in the model) keeps every
+        # stride-th output of the stride-1 one
+        return y if stride == 1 else np.ascontiguousarray(y[::stride, ::stride])
+    ho = (xp.shape[0] - kh) // stride + 1
+    wo = (xp.shape[1] - kw) // stride + 1
+    return (_im2col(xp, kh, kw, stride) @ w.reshape(-1, cout)).reshape(ho, wo, cout)
 
 
 def conv_backward(xp, w, dy, stride, groups):
-    cin = xp.shape[2]
+    hp, wp, cin = xp.shape
     kh, kw, _, cout = w.shape
     ho, wo = dy.shape[:2]
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
+    if groups != 1:
+        dw = np.einsum("hwckl,hwc->klc", _windows(xp, kh, kw, stride), dy)[:, :, None, :]
+        # dy dilated by the stride inside a border of kh-1 (kw-1) zeros; the
+        # far border also covers the rows (columns) no window reached
+        dyd = np.zeros(((ho - 1) * stride + 2 * kh - 1 + (hp - kh) % stride,
+                        (wo - 1) * stride + 2 * kw - 1 + (wp - kw) % stride,
+                        cout), dtype=dy.dtype)
+        dyd[kh - 1:kh + (ho - 1) * stride:stride,
+            kw - 1:kw + (wo - 1) * stride:stride] = dy
+        return _depthwise(dyd, w[::-1, ::-1, 0, :]), dw
     dy2 = dy.reshape(-1, cout)
+    dw = (_im2col(xp, kh, kw, stride).T @ dy2).reshape(w.shape)
+    dcols = (dy2 @ w.reshape(-1, cout).T).reshape(ho, wo, kh, kw, cin)
+    if kh == kw == stride == 1:
+        return dcols.reshape(hp, wp, cin), dw
+    dxp = np.zeros_like(xp)
     for ki in range(kh):
         for kj in range(kw):
-            rows = slice(ki, ki + ho * stride, stride)
-            cols = slice(kj, kj + wo * stride, stride)
-            xs = xp[rows, cols, :]
-            if groups == 1:
-                dw[ki, kj] = xs.reshape(-1, cin).T @ dy2
-                dxp[rows, cols, :] += dy @ w[ki, kj].T
-            else:
-                dw[ki, kj, 0, :] = (xs * dy).sum(axis=(0, 1))
-                dxp[rows, cols, :] += dy * w[ki, kj, 0, :]
+            dxp[ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += dcols[:, :, ki, kj]
     return dxp, dw

@@ -32,6 +32,10 @@ _ERF_DEN = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
 # below this many elements one scipy.special.erf call beats ~25 numpy calls
 _RATIONAL_ERF_MIN_SIZE = 4096
+# for |x| >= 40, Phi(x) is exactly 0 or 1 and the normal pdf exactly 0, in
+# float32 and float64 alike; GELU clamps x there so that +-inf * 0 never
+# happens and gelu(-inf) is 0
+_GELU_TAIL = 40.0
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 
@@ -279,17 +283,29 @@ def gelu(x):
     other input, every float64 one and a smaller float32 one, takes
     `scipy.special.erf`, which is exact to the dtype; for a small array it
     is also the cheaper call. The backward uses the saved Phi and the exact
-    normal pdf either way."""
+    normal pdf either way. x is clamped at -40 (and at +40 for the pdf), where
+    the tails are exactly 0 or 1, so gelu(-inf) is 0 with gradient 0, and
+    gelu(inf) is inf with gradient 1."""
     x = as_tensor(x)
     if x.data.dtype == np.float32 and x.data.size >= _RATIONAL_ERF_MIN_SIZE:
         phi = _phi_rational_f32(x.data)
     else:
         phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
-    out = Tensor(x.data * phi)
+    y = np.maximum(x.data, -_GELU_TAIL)
+    y *= phi
+    out = Tensor(y)
     if _trace(x):
         def bwd(g, x=x, phi=phi):
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-            _accum(x, g * (phi + x.data * pdf))
+            # g * (phi + t * pdf(t)), in place in one buffer
+            t = np.clip(x.data, -_GELU_TAIL, _GELU_TAIL)
+            d = -0.5 * t
+            d *= t
+            np.exp(d, out=d)
+            d *= _INV_SQRT_2PI
+            d *= t
+            d += phi
+            d *= g
+            _accum(x, d)
         _emit(out, bwd)
     return out
 

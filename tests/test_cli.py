@@ -181,3 +181,34 @@ def test_train_with_no_steps_is_one_fail_line(steps):
     assert_one_fail_line(code, out, err)
     assert out.startswith("FAIL ValueError") and "steps" in out
     assert "Warning" not in err
+
+
+def test_forward_with_a_directory_as_image_is_one_fail_line(tmp_path):
+    code, out, err = run_process(["forward", "--preset", "toy",
+                                  "--image", str(tmp_path)])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL IsADirectoryError")
+
+
+def test_attnmap_out_at_an_existing_file_is_one_fail_line(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run_process(["attnmap", "--preset", "toy", "--out", str(path)])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL FileExistsError")
+
+
+def test_gen_data_with_no_images_is_one_fail_line(tmp_path):
+    path = tmp_path / "empty.dtvt"
+    code, out, err = run_process(["gen-data", "--n", "0", "--out", str(path)])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError") and "n_must_be" in out
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [["train", "--steps", "abc"], ["frobnicate"]])
+def test_usage_error_is_one_fail_line(argv):
+    code, out, err = run_process(argv)
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL UsageError")
+    assert "usage:" in err

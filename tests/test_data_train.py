@@ -39,6 +39,9 @@ def test_dataset_validation():
         gen_synthetic(side=30)
     with pytest.raises(ValueError):
         gen_synthetic(classes=1)
+    for n in (0, -3, 2.0):
+        with pytest.raises(ValueError, match="n must be a positive int"):
+            gen_synthetic(n=n)
 
 
 def test_dataset_round_trip(tmp_path):

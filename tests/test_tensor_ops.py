@@ -193,12 +193,19 @@ def test_float32_gelu_matches_the_float64_erf_gelu(n):
     want = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
     assert (np.abs(got - want) <= 2e-6 * np.maximum(1.0, np.abs(x64))).all()
 
+    # the limits: gelu(inf) = inf with slope 1, gelu(-inf) = 0 with slope 0,
+    # and NaN stays NaN, on both erf paths and in float64
     special = np.full(n, 0.5, np.float32)
     special[:3] = [np.inf, -np.inf, np.nan]
-    with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
-        got = T.gelu(Tensor(special)).data
-        want = T.gelu(Tensor(special.astype(np.float64))).data
-    assert (np.isfinite(got) == np.isfinite(want)).all()
+    for dtype in (np.float32, np.float64):
+        x = Tensor(special.astype(dtype), requires_grad=True)
+        tape = GradTape()
+        with tape:
+            y = T.gelu(x)
+            loss = T.sum(T.slice_axis(y, 0, 0, 2))
+        T.backward(tape, loss)
+        assert y.data[0] == np.inf and y.data[1] == 0.0 and np.isnan(y.data[2])
+        assert x.grad[0] == 1.0 and x.grad[1] == 0.0
 
 
 def test_broadcast_gradient_unbroadcasts_to_parameter_shape():
