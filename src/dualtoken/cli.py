@@ -260,8 +260,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error already reported
+        return exc.code
     try:
         return args.fn(args)
     except (ValueError, FloatingPointError, OSError,

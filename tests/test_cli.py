@@ -207,8 +207,10 @@ def test_gen_data_with_no_images_is_one_fail_line(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["train", "--steps", "abc"], ["frobnicate"]])
-def test_usage_error_is_one_fail_line(argv):
+def test_usage_error_is_one_fail_line(argv, capsys):
     code, out, err = run_process(argv)
     assert_one_fail_line(code, out, err)
     assert out.startswith("FAIL UsageError")
     assert "usage:" in err
+    # in process, main returns the exit code instead of raising SystemExit
+    assert run(argv, capsys)[:2] == (1, out)
