@@ -33,9 +33,9 @@ def use_numba():
 
 def _view(x, shape, strides):
     """A read-only view of C-contiguous x with the given byte strides. The
-    ndarray constructor checks that it stays inside x's buffer; it costs a
-    microsecond, where `sliding_window_view` costs about twenty, which the
-    small maps of a toy model would notice."""
+    ndarray constructor checks that it stays inside x's buffer, at a small
+    fraction of the per-call cost of `sliding_window_view`, which shows on
+    the small maps of a toy model."""
     v = np.ndarray(shape, x.dtype, x, 0, strides)
     v.flags.writeable = False
     return v

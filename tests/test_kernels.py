@@ -102,3 +102,16 @@ def test_conv2d_backward_runs_no_forward_kernel(monkeypatch, groups):
     T.backward(tape, loss)
     assert len(calls) == 1
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_non_contiguous_input_matches_its_contiguous_copy():
+    rng = np.random.default_rng(25)
+    xp = rng.standard_normal((7, 6, 4)).transpose(1, 0, 2)  # a 6 x 7 x 4 view
+    for w, groups in ((rng.standard_normal((3, 3, 4, 5)), 1),
+                      (rng.standard_normal((3, 3, 1, 4)), 4)):
+        dy = rng.standard_normal((4, 5, w.shape[3]))
+        want = kernels.conv_backward(np.ascontiguousarray(xp), w, dy, 1, groups)
+        got = kernels.conv_backward(xp, w, dy, 1, groups)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(kernels.conv_forward(xp, w, 1, groups),
+                              kernels.conv_forward(np.ascontiguousarray(xp), w, 1, groups))
