@@ -20,7 +20,8 @@ per-tap temporary.
 
 Layout conventions: feature maps are H x W x C (channel-last), weights are
 kh x kw x (Cin/groups) x Cout. Inputs arrive already padded; `stride` and
-`groups` are plain ints. Outputs keep the input dtype.
+`groups` are plain ints. Outputs keep the input dtype. The backward skips
+dx when asked to (the image entering the stem needs none).
 """
 
 import numpy as np
@@ -89,13 +90,17 @@ def conv_forward(xp, w, stride, groups):
     return (_im2col(xp, kh, kw, stride) @ w.reshape(-1, cout)).reshape(ho, wo, cout)
 
 
-def conv_backward(xp, w, dy, stride, groups):
+def conv_backward(xp, w, dy, need_dx, stride, groups):
+    """(dxp, dw) of the correlation of xp with w, given dy; dxp is None
+    unless `need_dx`."""
     xp = np.ascontiguousarray(xp)
     hp, wp, cin = xp.shape
     kh, kw, _, cout = w.shape
     ho, wo = dy.shape[:2]
     if groups != 1:
         dw = np.einsum("hwckl,hwc->klc", _windows(xp, kh, kw, stride), dy)[:, :, None, :]
+        if not need_dx:
+            return None, dw
         # dy dilated by the stride inside a border of kh-1 (kw-1) zeros; the
         # far border also covers the rows (columns) no window reached
         dyd = np.zeros(((ho - 1) * stride + 2 * kh - 1 + (hp - kh) % stride,
@@ -106,6 +111,8 @@ def conv_backward(xp, w, dy, stride, groups):
         return _depthwise(dyd, w[::-1, ::-1, 0, :]), dw
     dy2 = dy.reshape(-1, cout)
     dw = (_im2col(xp, kh, kw, stride).T @ dy2).reshape(w.shape)
+    if not need_dx:
+        return None, dw
     dcols = (dy2 @ w.reshape(-1, cout).T).reshape(ho, wo, kh, kw, cin)
     if kh == kw == stride == 1:
         return dcols.reshape(hp, wp, cin), dw

@@ -1,9 +1,10 @@
 """The finite-difference checker itself: accepts correct gradients, flags
 broken ones, and samples coordinates deterministically."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from dualtoken import checks, tensor as T
 from dualtoken.gradcheck import grad_check
@@ -59,7 +60,9 @@ def test_model_suite_flags_a_wrong_backward(monkeypatch):
     # the erf GELU with its backward scaled by 1.01
     def gelu_off_by_one_percent(x):
         x = T.as_tensor(x)
-        phi = 0.5 * (1.0 + erf(x.data / np.sqrt(2.0)))
+        erf = np.array([math.erf(v / math.sqrt(2.0)) for v in x.data.ravel().tolist()],
+                       dtype=x.data.dtype)
+        phi = 0.5 * (1.0 + erf.reshape(x.shape))
         out = Tensor(x.data * phi)
         if T._trace(x):
             def bwd(g, x=x, phi=phi):

@@ -58,7 +58,7 @@ def test_conv_backward_matches_naive_loop(case, dtype):
     w = (rng.standard_normal((k, k, cin // groups, cout))
          / (k * np.sqrt(fan_out))).astype(dtype)
     dy = (0.5 * rng.standard_normal((ho, ho, cout))).astype(dtype)
-    dxp, dw = kernels.conv_backward(xp, w, dy, stride, groups)
+    dxp, dw = kernels.conv_backward(xp, w, dy, True, stride, groups)
     want_dxp, want_dw = naive_conv_backward(xp, w, dy, stride, groups)
     assert dxp.shape == xp.shape and dw.shape == w.shape
     assert dxp.dtype == dtype and dw.dtype == dtype
@@ -78,7 +78,7 @@ def test_float32_inputs_stay_float32():
         w = w.astype(np.float32)
         y = kernels.conv_forward(xp, w, 1, groups)
         assert y.dtype == np.float32
-        dxp, dw = kernels.conv_backward(xp, w, dy, 1, groups)
+        dxp, dw = kernels.conv_backward(xp, w, dy, True, 1, groups)
         assert dxp.dtype == np.float32 and dw.dtype == np.float32
 
 
@@ -110,8 +110,37 @@ def test_non_contiguous_input_matches_its_contiguous_copy():
     for w, groups in ((rng.standard_normal((3, 3, 4, 5)), 1),
                       (rng.standard_normal((3, 3, 1, 4)), 4)):
         dy = rng.standard_normal((4, 5, w.shape[3]))
-        want = kernels.conv_backward(np.ascontiguousarray(xp), w, dy, 1, groups)
-        got = kernels.conv_backward(xp, w, dy, 1, groups)
+        want = kernels.conv_backward(np.ascontiguousarray(xp), w, dy, True, 1, groups)
+        got = kernels.conv_backward(xp, w, dy, True, 1, groups)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert np.array_equal(kernels.conv_forward(xp, w, 1, groups),
                               kernels.conv_forward(np.ascontiguousarray(xp), w, 1, groups))
+
+
+@pytest.mark.parametrize("groups", [1, 3])
+def test_conv2d_computes_no_gradient_for_an_input_without_one(monkeypatch, groups):
+    returned = []
+    real = kernels.conv_backward
+
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(kernels, "conv_backward", spy)
+    rng = np.random.default_rng(26)
+    image = Tensor(rng.standard_normal((8, 8, 3)))
+    w = Tensor(rng.standard_normal((3, 3, 3 // groups, 3)), requires_grad=True)
+    tape = GradTape()
+    with tape:
+        loss = T.sum(T.conv2d(image, w, stride=2, padding=1, groups=groups))
+    T.backward(tape, loss)
+    (dxp, dw), = returned
+    assert dxp is None and image.grad is None
+    # the weight gradient is the one an input with a gradient gets
+    x = Tensor(image.data, requires_grad=True)
+    w2 = Tensor(w.data, requires_grad=True)
+    tape = GradTape()
+    with tape:
+        loss = T.sum(T.conv2d(x, w2, stride=2, padding=1, groups=groups))
+    T.backward(tape, loss)
+    assert np.array_equal(w.grad, w2.grad) and x.grad.shape == x.shape

@@ -1,8 +1,10 @@
 """Oracle-equivalence and property tests for the tensor primitives."""
 
+import decimal
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from dualtoken import tensor as T
 from dualtoken.tensor import GradTape, Tensor
@@ -45,6 +47,20 @@ def naive_conv2d(x, w, bias, stride, pad, groups):
 
 def tol_for(dtype):
     return 1e-12 if dtype == np.float64 else 1e-6
+
+
+def exact_gelu(x):
+    """x * Phi(x) in float64 through libm's erf, for any float array."""
+    return np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                     for v in np.asarray(x, dtype=np.float64).ravel().tolist()])
+
+
+def exact_sigmoid(x):
+    """1 / (1 + exp(-x)) in 40-digit decimal arithmetic, rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return np.array([float(1 / (1 + (-decimal.Decimal(v)).exp()))
+                         for v in np.asarray(x, dtype=np.float64).ravel().tolist()])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -183,19 +199,25 @@ def test_gelu_and_sigmoid_reference_points():
     assert abs(s[0] - 0.5) < 1e-12
 
 
-@pytest.mark.parametrize("n", [4095, 4096])
+@pytest.mark.parametrize("n", [1, 31, 4095, 4096])
 def test_float32_gelu_matches_the_float64_erf_gelu(n):
-    # 4,095 elements take scipy's erf, 4,096 the rational one
-    x = np.linspace(-12.0, 12.0, n).astype(np.float32)
-    got = T.gelu(Tensor(x)).data
-    assert got.dtype == np.float32
-    x64 = x.astype(np.float64)
-    want = x64 * 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
-    assert (np.abs(got - want) <= 2e-6 * np.maximum(1.0, np.abs(x64))).all()
+    # below 4,096 elements Phi comes from the table, from 4,096 on from the
+    # rational erf; each array also carries one point at or next to the table's
+    # ends at +-6, where the interpolation meets the clamp
+    grid = np.linspace(-12.0, 12.0, n).astype(np.float32)
+    for edge in (None, -6.0001, -6.0, -5.9999, 5.9999, 6.0, 6.0001):
+        x = grid.copy()
+        if edge is not None:
+            x[n // 2] = edge
+        got = T.gelu(Tensor(x)).data
+        assert got.dtype == np.float32 and got.shape == x.shape
+        x64 = x.astype(np.float64)
+        want = exact_gelu(x64)
+        assert (np.abs(got - want) <= 2e-6 * np.maximum(1.0, np.abs(x64))).all()
 
     # the limits: gelu(inf) = inf with slope 1, gelu(-inf) = 0 with slope 0,
-    # and NaN stays NaN, on both erf paths and in float64
-    special = np.full(n, 0.5, np.float32)
+    # and NaN stays NaN, on each path and in float64
+    special = np.full(max(n, 3), 0.5, np.float32)
     special[:3] = [np.inf, -np.inf, np.nan]
     for dtype in (np.float32, np.float64):
         x = Tensor(special.astype(dtype), requires_grad=True)
@@ -206,6 +228,29 @@ def test_float32_gelu_matches_the_float64_erf_gelu(n):
         T.backward(tape, loss)
         assert y.data[0] == np.inf and y.data[1] == 0.0 and np.isnan(y.data[2])
         assert x.grad[0] == 1.0 and x.grad[1] == 0.0
+
+
+def test_float64_gelu_is_the_libm_erf_gelu():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 2001),
+                        np.random.default_rng(30).standard_normal(500)])
+    got = T.gelu(Tensor(x)).data
+    assert got.dtype == np.float64
+    ulp = np.finfo(np.float64).eps
+    assert (np.abs(got - exact_gelu(x)) <= 4 * ulp * np.maximum(1.0, np.abs(x))).all()
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-15)])
+def test_sigmoid_keeps_full_relative_accuracy_in_both_tails(dtype, rtol):
+    x = np.linspace(-80.0, 80.0, 1601).astype(dtype)
+    got = T.sigmoid(Tensor(x)).data
+    assert got.dtype == dtype
+    want = exact_sigmoid(x)
+    assert (np.abs(got - want) <= rtol * want).all()
+
+    # the limits, and inputs whose exp(-x) would overflow
+    s = T.sigmoid(Tensor(np.array([np.inf, -np.inf, np.nan, 1e3, -1e3], dtype))).data
+    assert s[0] == 1.0 and s[1] == 0.0 and np.isnan(s[2])
+    assert s[3] == 1.0 and s[4] == 0.0
 
 
 def test_broadcast_gradient_unbroadcasts_to_parameter_shape():
