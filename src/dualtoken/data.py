@@ -62,7 +62,7 @@ def save_dataset(ds, path):
 
 def load_dataset(path, classes=None, seed=0):
     tensors = read_tensors(path)
-    images = tensors["images"].astype(np.float32)
+    images = tensors["images"].astype(np.float32, copy=False)
     labels = tensors["labels"].astype(np.int64)
     if classes is None:
         classes = int(labels.max()) + 1

@@ -11,20 +11,31 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+# float64 draws per trunc_normal chunk: 512 KB of scratch, whatever the shape
+_INIT_CHUNK = 65536
+
+
 def init_params(rng, shape, scheme="trunc_normal", std=0.02):
     """Parameter initialization drawn from the generator `rng`.
 
     trunc_normal samples N(0, std^2) clipped to +-2 std; zeros/ones are what
     they say and draw nothing. The same rng state always yields bit-identical
-    data.
+    data. The normal draws are made in float64 chunks of `_INIT_CHUNK`, each
+    clipped in place and written into the float32 result: the generator
+    yields the same values, and ends in the same state, as one draw of the
+    whole shape would.
     """
     if scheme == "zeros":
         data = np.zeros(shape, dtype=np.float32)
     elif scheme == "ones":
         data = np.ones(shape, dtype=np.float32)
     elif scheme == "trunc_normal":
-        data = rng.normal(0.0, std, size=shape)
-        data = np.clip(data, -2.0 * std, 2.0 * std).astype(np.float32)
+        data = np.empty(shape, dtype=np.float32)
+        flat = data.reshape(-1)
+        for i in range(0, flat.size, _INIT_CHUNK):
+            chunk = rng.normal(0.0, std, size=min(_INIT_CHUNK, flat.size - i))
+            np.clip(chunk, -2.0 * std, 2.0 * std, out=chunk)
+            flat[i:i + chunk.size] = chunk
     else:
         raise ValueError(f"unknown init scheme {scheme!r}")
     return Tensor(data, requires_grad=True)

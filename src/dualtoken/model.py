@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import MISSING, dataclass, field, asdict
 
@@ -336,7 +337,10 @@ class CheckpointError(Exception):
 
 
 def write_tensors(path, named):
-    """Write an ordered name -> ndarray mapping in the DTVT container."""
+    """Write an ordered name -> ndarray mapping in the DTVT container.
+
+    Each payload is written from the array's own buffer, little-endian; only
+    an array that is not C-contiguous or not little-endian is copied first."""
     items = list(named.items())
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -344,27 +348,29 @@ def write_tensors(path, named):
         fh.write(struct.pack("<I", len(items)))
         for name, arr in items:
             arr = np.ascontiguousarray(arr)
+            code = _DTYPE_CODES[arr.dtype.newbyteorder("=")]
+            arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
-            fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<Q", d))
-            fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+            fh.write(struct.pack("<BB", code, arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            fh.write(arr.data)
 
 
-def read_tensors(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
+def _read_index(fh, path):
+    """Parse every header of the open DTVT file `fh` without reading a
+    payload: an ordered name -> (dtype, dims, offset) mapping.
+
+    Each payload is checked against the file size from `os.fstat`, and so is
+    the end of the last one, before anything is allocated for it: a header
+    that claims more data than the file holds is refused at once."""
+    end = os.fstat(fh.fileno()).st_size
 
     def take(n):
-        nonlocal off
-        if off + n > len(blob):
+        chunk = fh.read(n)
+        if len(chunk) != n:
             raise CheckpointError(f"{path}: truncated file")
-        chunk = blob[off:off + n]
-        off += n
         return chunk
 
     if take(4) != MAGIC:
@@ -373,31 +379,60 @@ def read_tensors(path):
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     count, = struct.unpack("<I", take(4))
-    out = {}
+    index = {}
     for _ in range(count):
         nlen, = struct.unpack("<H", take(2))
         try:
             name = take(nlen).decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: tensor name is not UTF-8") from None
-        if name in out:
+        if name in index:
             raise CheckpointError(f"{path}: duplicate tensor {name}")
-        code, = struct.unpack("<B", take(1))
+        code, rank = struct.unpack("<BB", take(2))
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"{path}: unknown dtype code {code} for {name}")
         dtype = _CODE_DTYPES[code]
-        rank, = struct.unpack("<B", take(1))
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank)) if rank else ()
-        # exact Python ints, so an absurd shape is refused by take()
-        size = math.prod(dims)
-        data = np.frombuffer(take(size * dtype.itemsize),
-                             dtype=dtype.newbyteorder("<")).astype(dtype)
-        try:
-            out[name] = data.reshape(dims)
-        except ValueError as exc:  # an empty tensor with dims numpy refuses
-            raise CheckpointError(f"{path}: bad shape {dims} for {name}: {exc}") from None
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+        # exact Python ints, so an absurd shape cannot wrap around
+        offset = fh.tell()
+        nbytes = math.prod(dims) * dtype.itemsize
+        if offset + nbytes > end:
+            raise CheckpointError(f"{path}: truncated file")
+        fh.seek(nbytes, os.SEEK_CUR)
+        index[name] = (dtype, dims, offset)
+    if fh.tell() != end:
+        raise CheckpointError(f"{path}: {end - fh.tell()} trailing bytes")
+    return index
+
+
+def _read_payload(fh, path, name, entry, out):
+    """Read the payload of the index `entry` into the array `out` of its
+    shape, in place: straight into `out`'s buffer, or through a scratch array
+    when `out` has another dtype or byte order, or is not C-contiguous."""
+    dtype, _, offset = entry
+    stored = dtype.newbyteorder("<")
+    direct = out.dtype == stored and out.flags.c_contiguous
+    buf = out if direct else np.empty(out.shape, stored)
+    fh.seek(offset)
+    if fh.readinto(buf.reshape(-1).view(np.uint8)) != buf.nbytes:
+        raise CheckpointError(f"{path}: {name} was cut short while it was read")
+    if buf is not out:
+        np.copyto(out, buf, casting="unsafe")
+
+
+def read_tensors(path):
+    """Read a DTVT container into an ordered name -> ndarray mapping, one
+    payload at a time, each straight into its own array."""
+    out = {}
+    with open(path, "rb") as fh:
+        for name, entry in _read_index(fh, path).items():
+            dtype, dims, _ = entry
+            try:
+                arr = np.empty(dims, dtype)
+            except ValueError as exc:  # an empty tensor with dims numpy refuses
+                raise CheckpointError(f"{path}: bad shape {dims} for {name}: {exc}") from None
+            _read_payload(fh, path, name, entry, arr)
+            out[name] = arr
     return out
 
 
@@ -406,19 +441,23 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(model, path):
-    """Load parameters in place; shapes must match the model's config."""
-    tensors = read_tensors(path)
+    """Load parameters in place; names and shapes must match the model's
+    config. Every name and shape is checked before the first payload is
+    read, so a container that is refused leaves the model unchanged."""
     params = model.param_dict()
-    for name, p in params.items():
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name}")
-        arr = tensors[name]
-        if tuple(arr.shape) != tuple(p.shape):
-            raise CheckpointError(
-                f"{path}: shape mismatch for {name}: "
-                f"checkpoint {tuple(arr.shape)} vs model {tuple(p.shape)}")
-        p.data = np.ascontiguousarray(arr.astype(p.data.dtype))
-    extra = set(tensors) - set(params)
-    if extra:
-        raise CheckpointError(f"{path}: unexpected tensors {sorted(extra)[:3]}")
+    with open(path, "rb") as fh:
+        index = _read_index(fh, path)
+        for name, p in params.items():
+            if name not in index:
+                raise CheckpointError(f"{path}: missing tensor {name}")
+            dims = index[name][1]
+            if tuple(dims) != tuple(p.shape):
+                raise CheckpointError(
+                    f"{path}: shape mismatch for {name}: "
+                    f"checkpoint {tuple(dims)} vs model {tuple(p.shape)}")
+        extra = set(index) - set(params)
+        if extra:
+            raise CheckpointError(f"{path}: unexpected tensors {sorted(extra)[:3]}")
+        for name, p in params.items():
+            _read_payload(fh, path, name, index[name], p.data)
     return model

@@ -4,7 +4,8 @@ reverse-mode gradients.
 Tensors wrap a contiguous numpy array (f32 or f64, channel-last for spatial
 data). Ops are plain functions; while a GradTape is active and an input
 carries `requires_grad`, each op appends a backward closure to the tape.
-`backward()` replays the tape in reverse.
+`backward()` replays the tape in reverse and consumes it: each record, with
+the arrays its closure saved, is released as soon as it has run.
 
 A module-level MAC counter (see `count_macs`) instruments matmul and conv2d
 so analytic cost models can be checked against an executed forward pass.
@@ -96,6 +97,7 @@ class GradTape:
 
     def __init__(self):
         self._records = []
+        self._consumed = False
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -116,15 +118,28 @@ class GradTape:
 
 
 def backward(tape, loss):
-    """Populate .grad of every participating tensor with d(loss)/d(tensor)."""
+    """Populate .grad of every leaf tensor (one no op produced) that the loss
+    depends on with d(loss)/d(tensor).
+
+    The tape is consumed: each record is popped as it is replayed, and its
+    output's .grad is dropped before its closure runs, so the saved arrays
+    and the gradients of intermediate tensors die during the pass. Afterwards
+    the tape is empty, and only leaves hold a .grad. A second call on the
+    same tape raises ValueError."""
+    if tape._consumed:
+        raise ValueError("backward was already run on this tape")
     if loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("loss does not participate in gradient computation")
+    tape._consumed = True
     loss.grad = np.ones_like(loss.data)
-    for out, fn in reversed(tape._records):
-        if out.grad is not None:
-            fn(out.grad)
+    records = tape._records
+    while records:
+        out, fn = records.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            fn(g)
 
 
 def _unbroadcast(g, shape):

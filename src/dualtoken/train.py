@@ -221,8 +221,9 @@ def load_state(path, cfg, optimizer="adamw", lr=1e-3, seed=42):
             if name not in params:
                 raise CheckpointError(f"{path}: moments for unknown parameter {name}")
             p = params[name]
-            state.moments[name] = (need(key, p.shape).astype(p.data.dtype),
-                                   need(f"adam.v.{name}", p.shape).astype(p.data.dtype))
+            state.moments[name] = (
+                need(key, p.shape).astype(p.data.dtype, copy=False),
+                need(f"adam.v.{name}", p.shape).astype(p.data.dtype, copy=False))
     state.step = int(need("meta.step", (1,))[0])
     state.loss_history = [float(v) for v in need("meta.loss_history")]
     return state

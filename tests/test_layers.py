@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dualtoken import layers
+
 from dualtoken.layers import LayerNorm, Linear, MultiHeadAttention, init_params
 from dualtoken.tensor import Tensor
 
@@ -106,3 +108,18 @@ def test_layernorm_layer_normalizes_rows():
     y = ln(Tensor(rng.standard_normal((4, 16)).astype(np.float32))).data
     assert np.abs(y.mean(axis=-1)).max() < 1e-5
     assert np.abs(y.std(axis=-1) - 1.0).max() < 1e-3
+
+
+# one element, a chunk less one, one chunk, a chunk plus one, and the
+# 1,000 x 1,280 classifier weight of the full-size presets
+@pytest.mark.parametrize("shape", [(1,), (65535,), (65536,), (65537,), (1000, 1280)])
+def test_chunked_trunc_normal_matches_the_one_shot_draw(shape):
+    assert layers._INIT_CHUNK == 65536
+    oracle_rng = np.random.default_rng(21)
+    chunked_rng = np.random.default_rng(21)
+    # the one-shot formula: one float64 draw of the whole shape, clipped
+    want = np.clip(oracle_rng.normal(0.0, 0.02, size=shape), -0.04, 0.04).astype(np.float32)
+    got = init_params(chunked_rng, shape, "trunc_normal").data
+    assert got.dtype == np.float32 and got.shape == shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert chunked_rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -2,6 +2,7 @@
 coverage."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dualtoken import tensor as T
+from dualtoken.checks import cast_model
 from dualtoken.model import (CheckpointError, ModelConfig, StageConfig,
                              build_model, load_checkpoint, preset,
                              read_tensors, save_checkpoint, write_tensors)
@@ -109,6 +111,51 @@ def test_toy_tape_length_stays_within_budget():
     assert len(tape) <= 374
 
 
+def _toy_step_tape(model, label=3):
+    tape = GradTape()
+    with tape:
+        logits, _ = model.forward(random_image(32, seed=4), want_activations=False)
+        loss = cross_entropy(logits, label)
+    return tape, loss
+
+
+def test_backward_consumes_the_tape_and_keeps_only_leaf_gradients():
+    model = build_model("toy", seed=1)
+    tape, loss = _toy_step_tape(model)
+    outputs = [out for out, _ in tape._records]
+    T.backward(tape, loss)
+    assert len(tape) == 0
+    assert all(out.grad is None for out in outputs)
+
+    # the oracle: the same step replayed in full, nothing released
+    oracle = build_model("toy", seed=1)
+    oracle_tape, oracle_loss = _toy_step_tape(oracle)
+    oracle_loss.grad = np.ones_like(oracle_loss.data)
+    for out, fn in reversed(oracle_tape._records):
+        if out.grad is not None:
+            fn(out.grad)
+    for (name, p), (_, q) in zip(model.named_params(), oracle.named_params()):
+        assert (p.grad is None) == (q.grad is None), name
+        if p.grad is not None:
+            assert p.grad.dtype == q.grad.dtype and (p.grad == q.grad).all(), name
+
+
+def test_backward_peak_memory_stays_near_the_forward_peak():
+    # numpy reports its buffers to tracemalloc; the saved arrays and the
+    # gradients of intermediate tensors die during backward, so the pass
+    # adds little to what the forward already holds
+    model = build_model("toy", seed=1)
+    tracemalloc.start()
+    try:
+        tape, loss = _toy_step_tape(model)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        T.backward(tape, loss)
+        step_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step_peak <= 1.25 * forward_peak
+
+
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     model = build_model("toy_grad", seed=11)
     path = tmp_path / "model.dtvt"
@@ -195,6 +242,82 @@ def test_checkpoint_dims_overflowing_int64_are_refused(tmp_path):
                      + struct.pack("<QQ", 2 ** 32, 2 ** 32))
     with pytest.raises(CheckpointError, match="truncated"):
         read_tensors(path)
+
+
+def test_checkpoint_header_claiming_2_40_elements_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "liar.dtvt"
+    blob = (b"DTVT" + struct.pack("<II", 1, 1) + struct.pack("<H", 1) + b"a"
+            + struct.pack("<BB", 0, 1) + struct.pack("<Q", 2 ** 40))
+    path.write_bytes(blob + b"\x00" * (100 - len(blob)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated"):
+            read_tensors(path)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(build_model("toy_grad", seed=1), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_checkpoint_loads_in_place_and_casts_to_the_model_dtype(tmp_path):
+    path = tmp_path / "f64.dtvt"
+    source = cast_model(build_model("toy_grad", seed=3), np.float64)
+    save_checkpoint(source, path)
+    model = build_model("toy_grad", seed=4)
+    buffers = [p.data for _, p in model.named_params()]
+    load_checkpoint(model, path)
+    for (name, p), buf, (_, q) in zip(model.named_params(), buffers, source.named_params()):
+        assert p.data is buf, name
+        assert p.data.dtype == np.float32
+        assert (p.data == q.data.astype(np.float32)).all(), name
+
+
+def test_write_tensors_stores_little_endian_from_any_layout(tmp_path):
+    rng = np.random.default_rng(5)
+    native = rng.standard_normal((4, 6)).astype(np.float32)
+    plain, other = tmp_path / "plain.dtvt", tmp_path / "other.dtvt"
+    write_tensors(plain, {"a": native, "b": native.astype(np.float64)})
+    # big-endian and strided copies of the same values write the same bytes
+    write_tensors(other, {"a": native.astype(">f4")[:, ::1].T.copy().T,
+                          "b": native.astype(">f8")})
+    assert plain.read_bytes() == other.read_bytes()
+    assert plain.read_bytes()[-8:] == struct.pack("<d", float(native[-1, -1]))
+    back = read_tensors(other)
+    assert back["a"].dtype == np.float32 and (back["a"] == native).all()
+
+
+@st.composite
+def _damaged_checkpoint(draw):
+    return draw(st.booleans()), draw(st.integers(0, 2 ** 20))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_damaged_checkpoint())
+def test_refused_checkpoint_leaves_every_parameter_unchanged(tmp_path, case):
+    truncate, where = case
+    path = tmp_path / "damaged.dtvt"
+    save_checkpoint(build_model("toy_grad", seed=6), path)
+    blob = path.read_bytes()
+    if truncate:
+        blob = blob[:where % len(blob)]
+    else:
+        bit = where % (8 * len(blob))
+        blob = bytearray(blob)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        blob = bytes(blob)
+    path.write_bytes(blob)
+    model = build_model("toy_grad", seed=7)
+    before = {name: p.data.copy() for name, p in model.named_params()}
+    try:
+        load_checkpoint(model, path)
+    except CheckpointError:
+        assert all((p.data == before[name]).all() for name, p in model.named_params())
+    else:
+        # only a flipped payload bit loads, and it changes the loaded values
+        assert not truncate
 
 
 def test_checkpoint_empty_tensor_with_impossible_dims_is_refused(tmp_path):

@@ -345,3 +345,17 @@ def test_overlapping_slices_accumulate_like_a_zero_initialised_oracle():
     for (a, b), w in zip(spans, weights):
         want[:, a:b] += w
     assert (x.grad == want).all()
+
+
+def test_backward_on_a_consumed_tape_raises():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    tape = GradTape()
+    with tape:
+        loss = T.sum(T.mul(x, x))
+    T.backward(tape, loss)
+    assert len(tape) == 0
+    before = x.grad.copy()
+    # a second replay would add the gradient twice; it must not pass silently
+    with pytest.raises(ValueError, match="already"):
+        T.backward(tape, loss)
+    assert (x.grad == before).all()
