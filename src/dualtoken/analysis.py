@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import ds_conv_count, ds_plan
+from .block import ConvEncoder, ds_conv_count, ds_plan
 from .model import Model, ModelConfig
 from .tensor import Tensor, count_macs
 
@@ -108,7 +108,7 @@ def count_flops(cfg: ModelConfig, resolution=None) -> CostReport:
             if not skip:
                 if cfg.local_kind == "conv_encoder":
                     k = sc.dw_kernel
-                    local = n * k * k * c + 2 * n * c * (4 * c)
+                    local = n * k * k * c + 2 * n * c * (ConvEncoder.EXPANSION * c)
                     entries.append(CostEntry(f"{prefix}.conv_encoder", macs=local))
                 else:
                     win = cfg.window

@@ -106,23 +106,17 @@ class ConvEncoder:
     """Residual depthwise/pointwise convolution block:
     x + PW2(GELU(PW1(LN(DW(x)))))."""
 
-    def __init__(self, dw_w, dw_b, ln, pw1_w, pw1_b, pw2_w, pw2_b):
-        self.dw_w, self.dw_b = dw_w, dw_b
-        self.ln = ln
-        self.pw1_w, self.pw1_b = pw1_w, pw1_b
-        self.pw2_w, self.pw2_b = pw2_w, pw2_b
+    EXPANSION = 4  # pointwise hidden width / channels
 
-    @classmethod
-    def build(cls, rng, channels, kernel, expansion=4):
-        c, e = channels, channels * expansion
-        dw_w = init_params(rng, (kernel, kernel, 1, c), "trunc_normal")
-        dw_b = init_params(rng, (c,), "zeros")
-        ln = LayerNorm.build(rng, c)
-        pw1_w = init_params(rng, (1, 1, c, e), "trunc_normal")
-        pw1_b = init_params(rng, (e,), "zeros")
-        pw2_w = init_params(rng, (1, 1, e, c), "trunc_normal")
-        pw2_b = init_params(rng, (c,), "zeros")
-        return cls(dw_w, dw_b, ln, pw1_w, pw1_b, pw2_w, pw2_b)
+    def __init__(self, rng, channels, kernel):
+        c, e = channels, channels * self.EXPANSION
+        self.dw_w = init_params(rng, (kernel, kernel, 1, c), "trunc_normal")
+        self.dw_b = init_params(rng, (c,), "zeros")
+        self.ln = LayerNorm(rng, c)
+        self.pw1_w = init_params(rng, (1, 1, c, e), "trunc_normal")
+        self.pw1_b = init_params(rng, (e,), "zeros")
+        self.pw2_w = init_params(rng, (1, 1, e, c), "trunc_normal")
+        self.pw2_b = init_params(rng, (c,), "zeros")
 
     def __call__(self, x):
         c = x.shape[-1]
@@ -147,13 +141,9 @@ class WindowAttentionLocal:
     """Multi-head self-attention inside non-overlapping windows, plus the
     residual; the ablation alternative to the conv encoder."""
 
-    def __init__(self, attn, window):
-        self.attn = attn
+    def __init__(self, rng, channels, heads, window):
+        self.attn = MultiHeadAttention(rng, channels, heads)
         self.window = window
-
-    @classmethod
-    def build(cls, rng, channels, heads, window=7):
-        return cls(MultiHeadAttention.build(rng, channels, heads), window)
 
     def __call__(self, x):
         h, w, c = x.shape
@@ -184,20 +174,15 @@ class Downsampler:
     the result misses the grid, bilinear resampling makes up the difference.
     """
 
-    def __init__(self, kind, grid, convs):
+    def __init__(self, rng, channels, kind, grid, resolution):
         self.kind = kind
         self.grid = grid
-        self.convs = convs  # list of (weight, bias) 3x3 same-padding convs
-
-    @classmethod
-    def build(cls, rng, channels, kind, grid, resolution):
-        convs = []
+        self.convs = []  # (weight, bias) of each 3x3 same-padding conv
         if kind == "step_wise":
             for _ in range(ds_conv_count(resolution, grid)):
                 w = init_params(rng, (3, 3, channels, channels), "trunc_normal")
                 b = init_params(rng, (channels,), "zeros")
-                convs.append((w, b))
-        return cls(kind, grid, convs)
+                self.convs.append((w, b))
 
     def __call__(self, x):
         g = self.grid
@@ -226,18 +211,11 @@ class TokenMLP:
     """MLP on global tokens: channel-only (Linear-GELU-Linear, hidden = C) or
     the token-mixing variant (channel linear, transpose, token linear)."""
 
-    def __init__(self, kind, lin1, lin2):
+    def __init__(self, rng, channels, kind, n_tokens):
         self.kind = kind
-        self.lin1 = lin1
-        self.lin2 = lin2
-
-    @classmethod
-    def build(cls, rng, channels, kind, n_tokens):
-        if kind == "normal":
-            return cls(kind, Linear.build(rng, channels, channels),
-                       Linear.build(rng, channels, channels))
-        return cls(kind, Linear.build(rng, channels, channels),
-                   Linear.build(rng, n_tokens, n_tokens))
+        self.lin1 = Linear(rng, channels, channels)
+        width = channels if kind == "normal" else n_tokens
+        self.lin2 = Linear(rng, width, width)
 
     def __call__(self, g):
         if self.kind == "normal":
@@ -257,17 +235,11 @@ class TokenMLP:
 class FFN:
     """Pre-norm residual feed-forward on flattened tokens."""
 
-    def __init__(self, ln, lin1, lin2):
-        self.ln = ln
-        self.lin1 = lin1
-        self.lin2 = lin2
-
-    @classmethod
-    def build(cls, rng, channels, ratio=4):
+    def __init__(self, rng, channels, ratio):
         hidden = channels * ratio
-        return cls(LayerNorm.build(rng, channels),
-                   Linear.build(rng, channels, hidden),
-                   Linear.build(rng, hidden, channels))
+        self.ln = LayerNorm(rng, channels)
+        self.lin1 = Linear(rng, channels, hidden)
+        self.lin2 = Linear(rng, hidden, channels)
 
     def __call__(self, x):
         y = self.lin2(T.gelu(self.lin1(self.ln(x))))
@@ -283,14 +255,9 @@ class BiDimAttention:
     """Gated spatial x channel reweighting with a residual:
     x + x * sigmoid(spatial gate) * sigmoid(channel gate)."""
 
-    def __init__(self, spatial_gate, channel_gate):
-        self.spatial_gate = spatial_gate  # Linear C -> 1
-        self.channel_gate = channel_gate  # Linear C -> C on the token mean
-
-    @classmethod
-    def build(cls, rng, channels):
-        return cls(Linear.build(rng, channels, 1),
-                   Linear.build(rng, channels, channels))
+    def __init__(self, rng, channels):
+        self.spatial_gate = Linear(rng, channels, 1)
+        self.channel_gate = Linear(rng, channels, channels)  # on the token mean
 
     def __call__(self, x):
         s = T.sigmoid(self.spatial_gate(x))                      # N x 1
@@ -308,43 +275,27 @@ class DualTokenBlock:
     broadcast), dual-token fusion, FFN, bi-dimensional attention, and the
     residual global-token update."""
 
-    def __init__(self, cfg, local, ds, aggregate, fuse_norm, fuse_mlp,
-                 fuse_attn, broadcast, ffn, bidim):
+    def __init__(self, rng, cfg):
         self.cfg = cfg
-        self.local = local
-        self.ds = ds
-        self.aggregate = aggregate
-        self.fuse_norm = fuse_norm
-        self.fuse_mlp = fuse_mlp
-        self.fuse_attn = fuse_attn
-        self.broadcast = broadcast
-        self.ffn = ffn
-        self.bidim = bidim
-
-    @classmethod
-    def build(cls, rng, cfg):
         c, h = cfg.channels, cfg.heads
         if cfg.skip_local_and_ds:
-            local = None
-            ds = Downsampler("skip", cfg.token_grid, [])
+            self.local = None
+        elif cfg.local_kind == "conv_encoder":
+            self.local = ConvEncoder(rng, c, cfg.dw_kernel)
         else:
-            if cfg.local_kind == "conv_encoder":
-                local = ConvEncoder.build(rng, c, cfg.dw_kernel)
-            else:
-                local = WindowAttentionLocal.build(rng, c, h, cfg.window)
-            ds = Downsampler.build(rng, c, cfg.ds_kind, cfg.token_grid, cfg.resolution)
-        aggregate = MultiHeadAttention.build(rng, c, h)
-        fuse_norm = fuse_mlp = fuse_attn = None
+            self.local = WindowAttentionLocal(rng, c, h, cfg.window)
+        ds_kind = "skip" if cfg.skip_local_and_ds else cfg.ds_kind
+        self.ds = Downsampler(rng, c, ds_kind, cfg.token_grid, cfg.resolution)
+        self.aggregate = MultiHeadAttention(rng, c, h)
+        self.fuse_norm = self.fuse_mlp = self.fuse_attn = None
         if cfg.global_mode == "position_aware_sum":
-            fuse_norm = LayerNorm.build(rng, c)
-            fuse_mlp = TokenMLP.build(rng, c, cfg.mlp_kind, cfg.token_grid ** 2)
+            self.fuse_norm = LayerNorm(rng, c)
+            self.fuse_mlp = TokenMLP(rng, c, cfg.mlp_kind, cfg.token_grid ** 2)
         else:
-            fuse_attn = MultiHeadAttention.build(rng, c, h)
-        broadcast = MultiHeadAttention.build(rng, c, h)
-        ffn = FFN.build(rng, c, cfg.ffn_ratio)
-        bidim = BiDimAttention.build(rng, c) if cfg.bidim else None
-        return cls(cfg, local, ds, aggregate, fuse_norm, fuse_mlp, fuse_attn,
-                   broadcast, ffn, bidim)
+            self.fuse_attn = MultiHeadAttention(rng, c, h)
+        self.broadcast = MultiHeadAttention(rng, c, h)
+        self.ffn = FFN(rng, c, cfg.ffn_ratio)
+        self.bidim = BiDimAttention(rng, c) if cfg.bidim else None
 
     # pipeline stages, called by name from __call__ (perfbench/tracing.py
     # wraps each of them as a block.* span) ---------------------------------

@@ -96,7 +96,7 @@ def _tiny_block(rng, **overrides):
                     resolution=4, ffn_ratio=2)
     defaults.update(overrides)
     cfg = BlockConfig(**defaults)
-    return cfg, DualTokenBlock.build(rng, cfg)
+    return cfg, DualTokenBlock(rng, cfg)
 
 
 def gradcheck_blocks(tol=1e-4):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .block import check_positive_int
-from .model import read_tensors, write_tensors
+from .model import (CheckpointError, cast_stored, check_tensors, read_tensors,
+                    write_tensors)
 
 
 @dataclass
@@ -60,10 +61,35 @@ def save_dataset(ds, path):
                          "labels": ds.labels.astype(np.float32)})
 
 
+# save_dataset stores labels as float32, which holds every whole number up
+# to 2**24 exactly
+_MAX_LABEL = 2 ** 24
+
+
 def load_dataset(path, classes=None, seed=0):
+    """Read a dataset written by `save_dataset`.
+
+    The container must hold exactly `images`, n x S x S x 3 with n, S >= 1
+    and values that fit float32, and `labels` of shape (n,), whole numbers
+    in [0, classes); `classes` defaults to the largest label plus one.
+    Anything else raises `CheckpointError`."""
     tensors = read_tensors(path)
-    images = tensors["images"].astype(np.float32, copy=False)
-    labels = tensors["labels"].astype(np.int64)
+    check_tensors(path, {name: a.shape for name, a in tensors.items()},
+                  {"images": (None, None, None, 3), "labels": (None,)})
+    images = cast_stored(path, "images", tensors["images"], np.float32)
+    n, side = images.shape[:2]
+    if n < 1 or side < 1 or images.shape[2] != side:
+        raise CheckpointError(
+            f"{path}: images must be n x S x S x 3 with n, S >= 1, got {images.shape}")
+    labels = tensors["labels"]
+    if labels.shape != (n,):
+        raise CheckpointError(
+            f"{path}: labels have shape {labels.shape}, expected ({n},) for {n} images")
+    top = _MAX_LABEL if classes is None else classes
+    if not (np.isfinite(labels).all() and (labels == np.floor(labels)).all()
+            and labels.min() >= 0 and labels.max() < top):
+        raise CheckpointError(f"{path}: labels must be whole numbers in [0, {top})")
+    labels = labels.astype(np.int64)
     if classes is None:
         classes = int(labels.max()) + 1
     return SyntheticDataset(images=images, labels=labels, classes=classes, seed=seed)

@@ -1,5 +1,8 @@
 """Parameterized layers: linear projections, multi-head attention, and
-parameter initialization."""
+parameter initialization.
+
+Each layer draws its own parameters from the generator its constructor is
+given, in a fixed order, so one seed always yields the same weights."""
 
 from __future__ import annotations
 
@@ -44,15 +47,9 @@ def init_params(rng, shape, scheme="trunc_normal", std=0.02):
 class Linear:
     """x @ W + b with W of shape Cin x Cout."""
 
-    def __init__(self, weight, bias=None):
-        self.weight = weight
-        self.bias = bias
-
-    @classmethod
-    def build(cls, rng, cin, cout, bias=True):
-        w = init_params(rng, (cin, cout), "trunc_normal")
-        b = init_params(rng, (cout,), "zeros") if bias else None
-        return cls(w, b)
+    def __init__(self, rng, cin, cout, bias=True):
+        self.weight = init_params(rng, (cin, cout), "trunc_normal")
+        self.bias = init_params(rng, (cout,), "zeros") if bias else None
 
     @property
     def cin(self):
@@ -77,18 +74,12 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, gamma, beta, eps=1e-6):
-        self.gamma = gamma
-        self.beta = beta
-        self.eps = eps
-
-    @classmethod
-    def build(cls, rng, channels, eps=1e-6):
-        return cls(init_params(rng, (channels,), "ones"),
-                   init_params(rng, (channels,), "zeros"), eps)
+    def __init__(self, rng, channels):
+        self.gamma = init_params(rng, (channels,), "ones")
+        self.beta = init_params(rng, (channels,), "zeros")
 
     def __call__(self, x):
-        return T.layernorm(x, self.gamma, self.beta, self.eps)
+        return T.layernorm(x, self.gamma, self.beta)
 
     def named_params(self):
         yield "gamma", self.gamma
@@ -98,23 +89,15 @@ class LayerNorm:
 class MultiHeadAttention:
     """Scaled dot-product attention with separate Q/K/V/out projections."""
 
-    def __init__(self, heads, q_proj, k_proj, v_proj, out_proj):
-        channels = q_proj.cout
+    def __init__(self, rng, channels, heads):
         if channels % heads != 0:
             raise ValueError(f"channels {channels} not divisible by heads {heads}")
         self.heads = heads
         self.head_dim = channels // heads
-        self.q_proj = q_proj
-        self.k_proj = k_proj
-        self.v_proj = v_proj
-        self.out_proj = out_proj
-
-    @classmethod
-    def build(cls, rng, channels, heads):
-        if channels % heads != 0:
-            raise ValueError(f"channels {channels} not divisible by heads {heads}")
-        mk = lambda: Linear.build(rng, channels, channels)
-        return cls(heads, mk(), mk(), mk(), mk())
+        self.q_proj = Linear(rng, channels, channels)
+        self.k_proj = Linear(rng, channels, channels)
+        self.v_proj = Linear(rng, channels, channels)
+        self.out_proj = Linear(rng, channels, channels)
 
     def __call__(self, q_src, kv_src=None, need_weights=False):
         if kv_src is None:

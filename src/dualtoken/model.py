@@ -163,23 +163,17 @@ class Stem:
     """Three stride-2 3x3 convolutions (3 -> C1/2 -> C1/2 -> C1) with
     LN + GELU between; total stride 8."""
 
-    def __init__(self, convs, norms):
-        self.convs = convs  # list of (weight, bias, stride)
-        self.norms = norms
-
-    @classmethod
-    def build(cls, rng, out_channels):
+    def __init__(self, rng, out_channels):
         mid = max(out_channels // 2, 1)
         plan = [(3, mid), (mid, mid), (mid, out_channels)]
-        convs = []
-        norms = []
+        self.convs = []  # (weight, bias) of each stride-2 conv
+        self.norms = []
         for i, (cin, cout) in enumerate(plan):
             w = init_params(rng, (3, 3, cin, cout), "trunc_normal")
             b = init_params(rng, (cout,), "zeros")
-            convs.append((w, b))
+            self.convs.append((w, b))
             if i < 2:
-                norms.append(LayerNorm.build(rng, cout))
-        return cls(convs, norms)
+                self.norms.append(LayerNorm(rng, cout))
 
     def __call__(self, x):
         for i, (w, b) in enumerate(self.convs):
@@ -200,13 +194,9 @@ class MergePatch:
     """2x2 neighborhood concatenation (4C channels), LN, linear to the next
     stage's width."""
 
-    def __init__(self, ln, proj):
-        self.ln = ln
-        self.proj = proj
-
-    @classmethod
-    def build(cls, rng, cin, cout):
-        return cls(LayerNorm.build(rng, 4 * cin), Linear.build(rng, 4 * cin, cout))
+    def __init__(self, rng, cin, cout):
+        self.ln = LayerNorm(rng, 4 * cin)
+        self.proj = Linear(rng, 4 * cin, cout)
 
     def __call__(self, x):
         h, w, c = x.shape
@@ -224,17 +214,29 @@ class MergePatch:
 
 
 class Model:
-    def __init__(self, cfg, stem, stages, merges, g_init, g_projs,
-                 head_norm, head_lin1, head_lin2):
+    def __init__(self, rng, cfg):
         self.cfg = cfg
-        self.stem = stem
-        self.stages = stages          # list of list of DualTokenBlock
-        self.merges = merges
-        self.g_init = g_init          # learnable initial global tokens
-        self.g_projs = g_projs        # bias-free per-token linear at stage boundaries
-        self.head_norm = head_norm
-        self.head_lin1 = head_lin1
-        self.head_lin2 = head_lin2
+        c1 = cfg.stages[0].channels
+        self.stem = Stem(rng, c1)
+        n_g = cfg.block_config(0).global_token_count
+        # learnable initial global tokens
+        self.g_init = init_params(rng, (n_g, c1), "trunc_normal")
+        self.stages = []   # list of list of DualTokenBlock
+        self.merges = []
+        self.g_projs = []  # bias-free per-token linear at stage boundaries
+        for si in range(3):
+            if si > 0:
+                cin = cfg.stages[si - 1].channels
+                cout = cfg.stages[si].channels
+                self.merges.append(MergePatch(rng, cin, cout))
+                self.g_projs.append(Linear(rng, cin, cout, bias=False))
+            bcfg = cfg.block_config(si)
+            self.stages.append([DualTokenBlock(rng, bcfg)
+                                for _ in range(cfg.stages[si].blocks)])
+        c3 = cfg.stages[2].channels
+        self.head_norm = LayerNorm(rng, c3)
+        self.head_lin1 = Linear(rng, c3, cfg.head_hidden)
+        self.head_lin2 = Linear(rng, cfg.head_hidden, cfg.num_classes)
 
     def forward(self, images, want_activations=True):
         """Classify one S x S x 3 image.
@@ -294,32 +296,11 @@ class Model:
 
 
 def build_model(cfg, seed=42):
-    """Deterministically initialize a model from its configuration."""
+    """Deterministically initialize a model from its configuration or the
+    name of a preset."""
     if isinstance(cfg, str):
         cfg = preset(cfg)
-    rng = np.random.default_rng(seed)
-    c1 = cfg.stages[0].channels
-    stem = Stem.build(rng, c1)
-    n_g = cfg.block_config(0).global_token_count
-    g_init = init_params(rng, (n_g, c1), "trunc_normal")
-    stages = []
-    merges = []
-    g_projs = []
-    for si in range(3):
-        if si > 0:
-            cin = cfg.stages[si - 1].channels
-            cout = cfg.stages[si].channels
-            merges.append(MergePatch.build(rng, cin, cout))
-            g_projs.append(Linear.build(rng, cin, cout, bias=False))
-        bcfg = cfg.block_config(si)
-        stages.append([DualTokenBlock.build(rng, bcfg)
-                       for _ in range(cfg.stages[si].blocks)])
-    c3 = cfg.stages[2].channels
-    head_norm = LayerNorm.build(rng, c3)
-    head_lin1 = Linear.build(rng, c3, cfg.head_hidden)
-    head_lin2 = Linear.build(rng, cfg.head_hidden, cfg.num_classes)
-    return Model(cfg, stem, stages, merges, g_init, g_projs,
-                 head_norm, head_lin1, head_lin2)
+    return Model(np.random.default_rng(seed), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +321,15 @@ def write_tensors(path, named):
     """Write an ordered name -> ndarray mapping in the DTVT container.
 
     Each payload is written from the array's own buffer, little-endian; only
-    an array that is not C-contiguous or not little-endian is copied first."""
+    an array that is not C-contiguous or not little-endian is copied first.
+    A dtype the container cannot hold raises `ValueError` before `path` is
+    opened, so an existing file there is left as it was."""
     items = list(named.items())
+    for name, arr in items:
+        dtype = np.asarray(arr).dtype
+        if dtype.newbyteorder("=") not in _DTYPE_CODES:
+            raise ValueError(f"tensor {name} has dtype {dtype}; "
+                             "DTVT stores float32 and float64 only")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -436,6 +424,37 @@ def read_tensors(path):
     return out
 
 
+def check_tensors(path, found, expected):
+    """Refuse a container unless it holds exactly the tensors of `expected`.
+
+    `found` maps each stored name to its dims; `expected` maps each name the
+    container must hold to its shape, in which a None dim matches any size.
+    A missing, misshapen or unexpected tensor raises `CheckpointError`
+    naming it."""
+    for name, shape in expected.items():
+        if name not in found:
+            raise CheckpointError(f"{path}: missing tensor {name}")
+        dims = tuple(found[name])
+        if len(dims) != len(shape) or any(
+                want is not None and got != want for got, want in zip(dims, shape)):
+            raise CheckpointError(f"{path}: shape mismatch for {name}: "
+                                  f"stored {dims} vs expected {tuple(shape)}")
+    extra = set(found) - set(expected)
+    if extra:
+        raise CheckpointError(f"{path}: unexpected tensors {sorted(extra)[:3]}")
+
+
+def cast_stored(path, name, arr, dtype):
+    """The stored tensor `name` as `dtype`; a value beyond the range of
+    `dtype` raises `CheckpointError` naming the tensor."""
+    try:
+        with np.errstate(over="raise"):
+            return arr.astype(dtype, copy=False)
+    except FloatingPointError:
+        raise CheckpointError(
+            f"{path}: {name} holds values beyond the {np.dtype(dtype)} range") from None
+
+
 def save_checkpoint(model, path):
     write_tensors(path, {n: p.data for n, p in model.named_params()})
 
@@ -447,17 +466,8 @@ def load_checkpoint(model, path):
     params = model.param_dict()
     with open(path, "rb") as fh:
         index = _read_index(fh, path)
-        for name, p in params.items():
-            if name not in index:
-                raise CheckpointError(f"{path}: missing tensor {name}")
-            dims = index[name][1]
-            if tuple(dims) != tuple(p.shape):
-                raise CheckpointError(
-                    f"{path}: shape mismatch for {name}: "
-                    f"checkpoint {tuple(dims)} vs model {tuple(p.shape)}")
-        extra = set(index) - set(params)
-        if extra:
-            raise CheckpointError(f"{path}: unexpected tensors {sorted(extra)[:3]}")
+        check_tensors(path, {n: dims for n, (_, dims, _) in index.items()},
+                      {n: p.shape for n, p in params.items()})
         for name, p in params.items():
             _read_payload(fh, path, name, index[name], p.data)
     return model

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .block import check_positive_int
-from .model import CheckpointError, Model, build_model, read_tensors, write_tensors
+from .model import (CheckpointError, Model, build_model, cast_stored, check_tensors,
+                    read_tensors, write_tensors)
 from .tensor import GradTape, Tensor
 
 
@@ -199,31 +200,34 @@ def save_state(state, path):
 
 
 def load_state(path, cfg, optimizer="adamw", lr=1e-3, seed=42):
+    """Resume a state written by `save_state` into a model built from `cfg`.
+
+    The container must hold exactly one `param.<name>` per model parameter,
+    an `adam.m.<name>` and `adam.v.<name>` pair per AdamW moment it stores,
+    whose values fit the parameter's dtype, `meta.step` (one whole number
+    >= 0) and a 1-d `meta.loss_history`; anything else raises
+    `CheckpointError` naming the tensor."""
     tensors = read_tensors(path)
-
-    def need(key, shape=None):
-        if key not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {key}")
-        if shape is not None and tensors[key].shape != tuple(shape):
-            raise CheckpointError(f"{path}: shape mismatch for {key}: "
-                                  f"state {tensors[key].shape} vs {tuple(shape)}")
-        return tensors[key]
-
     model = build_model(cfg, seed=seed)
     state = TrainState(model=model, optimizer=optimizer, lr=lr)
     params = model.param_dict()
+    expected = {f"param.{name}": p.shape for name, p in params.items()}
+    for name, p in params.items():
+        if f"adam.m.{name}" in tensors:
+            expected[f"adam.m.{name}"] = expected[f"adam.v.{name}"] = p.shape
+    expected["meta.step"] = (1,)
+    expected["meta.loss_history"] = (None,)
+    check_tensors(path, {key: a.shape for key, a in tensors.items()}, expected)
     for name, p in params.items():
         # parameters keep their saved precision, so an f64 run resumes in f64
-        p.data = np.ascontiguousarray(need(f"param.{name}", p.shape))
-    for key in tensors:
-        if key.startswith("adam.m."):
-            name = key[len("adam.m."):]
-            if name not in params:
-                raise CheckpointError(f"{path}: moments for unknown parameter {name}")
-            p = params[name]
-            state.moments[name] = (
-                need(key, p.shape).astype(p.data.dtype, copy=False),
-                need(f"adam.v.{name}", p.shape).astype(p.data.dtype, copy=False))
-    state.step = int(need("meta.step", (1,))[0])
-    state.loss_history = [float(v) for v in need("meta.loss_history")]
+        p.data = np.ascontiguousarray(tensors[f"param.{name}"])
+        if f"adam.m.{name}" in tensors:
+            state.moments[name] = tuple(
+                cast_stored(path, key, tensors[key], p.data.dtype)
+                for key in (f"adam.m.{name}", f"adam.v.{name}"))
+    step = float(tensors["meta.step"][0])
+    if not (step.is_integer() and step >= 0):
+        raise CheckpointError(f"{path}: meta.step must be a whole number >= 0, got {step}")
+    state.step = int(step)
+    state.loss_history = [float(v) for v in tensors["meta.loss_history"]]
     return state

@@ -109,7 +109,7 @@ def test_criterion_6_shape_invariants(bilinear_calls):
     if not cfg.block_config(2).skip_local_and_ds:
         problems.append("stage-3 skip")
     # interpolation fallback preserves constants exactly (256^2 stage 1: 32 -> 7)
-    ds = Downsampler.build(np.random.default_rng(0), 4, "step_wise", 7, 32)
+    ds = Downsampler(np.random.default_rng(0), 4, "step_wise", 7, 32)
     ds.convs = []     # pooling-only path isolates the interpolation step
     y = ds(Tensor(np.full((32, 32, 4), 0.625, np.float32)))
     if not (bilinear_calls == [(16, 16)] and (y.data == np.float32(0.625)).all()):
@@ -124,7 +124,7 @@ def test_criterion_6_shape_invariants(bilinear_calls):
     # global-token residual identity with the fused update forced to zero
     bcfg = BlockConfig(channels=8, heads=2, dw_kernel=3, token_grid=2,
                        resolution=4, alpha=1.0)
-    block = DualTokenBlock.build(np.random.default_rng(3), bcfg)
+    block = DualTokenBlock(np.random.default_rng(3), bcfg)
     block.fuse_mlp.lin2.weight.data[:] = 0.0
     block.fuse_mlp.lin2.bias.data[:] = 0.0
     g0 = np.random.default_rng(4).standard_normal((4, 8)).astype(np.float32)
@@ -134,10 +134,10 @@ def test_criterion_6_shape_invariants(bilinear_calls):
         problems.append("residual identity")
     # alpha degeneracies
     for alpha in (0.0, 1.0):
-        b = DualTokenBlock.build(np.random.default_rng(6),
-                                 BlockConfig(channels=8, heads=2, dw_kernel=3,
-                                             token_grid=2, resolution=4,
-                                             alpha=alpha))
+        b = DualTokenBlock(np.random.default_rng(6),
+                           BlockConfig(channels=8, heads=2, dw_kernel=3,
+                                       token_grid=2, resolution=4,
+                                       alpha=alpha))
         g = Tensor(np.random.default_rng(7).standard_normal((4, 8)).astype(np.float32))
         xga = Tensor(np.random.default_rng(8).standard_normal((4, 8)).astype(np.float32))
         fused = b.fuse_global_tokens(g, xga).data

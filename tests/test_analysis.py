@@ -14,7 +14,7 @@ from dualtoken.tensor import matmul
 
 
 def test_linear_parameter_arithmetic():
-    lin = Linear.build(np.random.default_rng(0), 4, 3)
+    lin = Linear(np.random.default_rng(0), 4, 3)
     assert sum(p.size for _, p in lin.named_params()) == 4 * 3 + 3
 
 

@@ -17,7 +17,7 @@ def build_block(seed=0, **overrides):
                     resolution=4, ffn_ratio=2)
     defaults.update(overrides)
     cfg = BlockConfig(**defaults)
-    return cfg, DualTokenBlock.build(np.random.default_rng(seed), cfg)
+    return cfg, DualTokenBlock(np.random.default_rng(seed), cfg)
 
 
 def test_ds_plan_hits_the_grid_at_default_resolutions():
@@ -37,7 +37,7 @@ def test_ds_plan_falls_short_at_off_grid_resolutions():
 
 def test_stepwise_downsampler_interpolates_only_off_grid(bilinear_calls):
     rng = np.random.default_rng(40)
-    ds28 = Downsampler.build(np.random.default_rng(41), 4, "step_wise", 7, 28)
+    ds28 = Downsampler(np.random.default_rng(41), 4, "step_wise", 7, 28)
     y = ds28(Tensor(rng.standard_normal((28, 28, 4)).astype(np.float32)))
     assert y.shape == (7, 7, 4) and bilinear_calls == []
     # the schedule follows the map it gets: 14 -> pool 7, the conv unused
@@ -45,7 +45,7 @@ def test_stepwise_downsampler_interpolates_only_off_grid(bilinear_calls):
     y = ds28(Tensor(x14))
     want = x14.reshape(7, 2, 7, 2, 4).mean(axis=(1, 3))
     assert np.abs(y.data - want).max() <= 1e-6 and bilinear_calls == []
-    ds32 =Downsampler.build(np.random.default_rng(42), 4, "step_wise", 7, 32)
+    ds32 = Downsampler(np.random.default_rng(42), 4, "step_wise", 7, 32)
     y = ds32(Tensor(rng.standard_normal((32, 32, 4)).astype(np.float32)))
     # 32 -> pool 16 -> conv+pool 8, then resampled to the 7-grid
     assert y.shape == (7, 7, 4) and bilinear_calls == [(8, 8)]
@@ -53,7 +53,7 @@ def test_stepwise_downsampler_interpolates_only_off_grid(bilinear_calls):
 
 def test_one_step_downsampler_is_a_single_pool(bilinear_calls):
     rng = np.random.default_rng(43)
-    ds = Downsampler("one_step", 7, [])
+    ds = Downsampler(np.random.default_rng(0), 3, "one_step", 7, 28)
     x = rng.standard_normal((28, 28, 3)).astype(np.float32)
     y = ds(Tensor(x))
     assert bilinear_calls == []
@@ -62,7 +62,7 @@ def test_one_step_downsampler_is_a_single_pool(bilinear_calls):
 
 
 def test_conv_encoder_residual_identity_with_zeroed_projection():
-    enc = ConvEncoder.build(np.random.default_rng(44), 6, 3)
+    enc = ConvEncoder(np.random.default_rng(44), 6, 3)
     enc.pw2_w.data[:] = 0.0
     enc.pw2_b.data[:] = 0.0
     x = np.random.default_rng(45).standard_normal((5, 5, 6)).astype(np.float32)
@@ -72,7 +72,7 @@ def test_conv_encoder_residual_identity_with_zeroed_projection():
 
 def test_window_attention_single_window_equals_plain_attention():
     rng = np.random.default_rng(46)
-    local = WindowAttentionLocal.build(np.random.default_rng(47), 8, 2, window=4)
+    local = WindowAttentionLocal(np.random.default_rng(47), 8, 2, window=4)
     x = rng.standard_normal((4, 4, 8)).astype(np.float32)
     got = local(Tensor(x)).data
     tokens = Tensor(x.reshape(16, 8))
@@ -81,7 +81,7 @@ def test_window_attention_single_window_equals_plain_attention():
 
 
 def test_window_attention_windows_do_not_interact():
-    local = WindowAttentionLocal.build(np.random.default_rng(48), 8, 2, window=2)
+    local = WindowAttentionLocal(np.random.default_rng(48), 8, 2, window=2)
     rng = np.random.default_rng(49)
     x = rng.standard_normal((4, 4, 8)).astype(np.float32)
     base = local(Tensor(x)).data

@@ -143,6 +143,74 @@ def test_state_without_a_key_raises_checkpoint_error(tmp_path, key):
         load_state(path, preset("toy_grad"), lr=1e-3)
 
 
+def _set(key, value):
+    def edit(named):
+        named[key] = np.asarray(value, dtype=np.float64)
+    return edit
+
+
+def _orphan_second_moment(named):
+    del named["adam.m.head.lin2.bias"]
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("meta.step", _set("meta.step", [np.nan])),
+    ("meta.step", _set("meta.step", [np.inf])),
+    ("meta.step", _set("meta.step", [3.7])),
+    ("meta.step", _set("meta.step", [-5.0])),
+    ("meta.loss_history", _set("meta.loss_history", [[1.0, 2.0]])),
+    ("junk", _set("junk", [0.0])),
+    ("adam.v.head.lin2.bias", _orphan_second_moment),
+    ("adam.v.head.lin2.bias", _set("adam.v.head.lin2.bias", [1e300] * 4)),
+], ids=["step_nan", "step_inf", "step_fraction", "step_negative",
+        "history_2d", "unknown_tensor", "orphan_second_moment", "moment_beyond_float32"])
+def test_malformed_state_raises_checkpoint_error_naming_the_tensor(tmp_path, key, edit):
+    state = train_toy(preset("toy_grad"), grad_dataset(n=8), steps=1, lr=1e-3)
+    path = tmp_path / "state.dtvt"
+    save_state(state, path)
+    named = read_tensors(path)
+    edit(named)
+    write_tensors(path, named)
+    with pytest.raises(CheckpointError, match=key):
+        load_state(path, preset("toy_grad"), lr=1e-3)
+
+
+def _dataset_with(**changes):
+    ds = gen_synthetic(seed=0, n=2, classes=4, side=8)
+    named = {"images": ds.images, "labels": ds.labels.astype(np.float32)}
+    for key, value in changes.items():
+        if value is None:
+            del named[key]
+        else:
+            named[key] = np.asarray(value, dtype=np.float64)
+    return named
+
+
+@pytest.mark.parametrize("named, classes", [
+    (_dataset_with(images=None), None),
+    (_dataset_with(junk=[0.0]), None),
+    (_dataset_with(images=np.zeros((2, 8, 4, 3))), None),
+    (_dataset_with(images=np.zeros((2, 8, 8))), None),
+    (_dataset_with(images=np.zeros((0, 8, 8, 3)), labels=np.zeros(0)), None),
+    (_dataset_with(labels=[0.0, 1.0, 2.0]), None),
+    (_dataset_with(labels=[[0.0, 1.0]]), None),
+    (_dataset_with(labels=[np.nan, 1.0]), None),
+    (_dataset_with(labels=[np.inf, 1.0]), None),
+    (_dataset_with(labels=[0.5, 1.0]), None),
+    (_dataset_with(labels=[-1.0, 1.0]), None),
+    (_dataset_with(labels=[0.0, 4.0]), 4),
+    (_dataset_with(images=np.full((2, 8, 8, 3), 1e300)), None),
+], ids=["no_images", "unknown_tensor", "images_not_square", "images_rank_3",
+        "zero_images", "three_labels_two_images", "labels_2d", "label_nan",
+        "label_inf", "label_fraction", "label_negative", "label_out_of_range",
+        "images_beyond_float32"])
+def test_malformed_dataset_raises_checkpoint_error(tmp_path, named, classes):
+    path = tmp_path / "data.dtvt"
+    write_tensors(path, named)
+    with pytest.raises(CheckpointError):
+        load_dataset(path, classes=classes)
+
+
 def test_one_adamw_step_touches_nearly_all_parameters():
     model = build_model("toy_grad", seed=2)
     before = np.concatenate([p.data.reshape(-1).copy()

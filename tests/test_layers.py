@@ -36,7 +36,7 @@ def test_mhsa_matches_brute_force_oracle(heads):
     for _ in range(7):
         n = int(rng.integers(1, 9))
         c = heads * int(rng.integers(1, 17 // heads))
-        attn = MultiHeadAttention.build(np.random.default_rng(31), c, heads)
+        attn = MultiHeadAttention(np.random.default_rng(31), c, heads)
         x = rng.standard_normal((n, c)).astype(np.float32)
         got = attn(Tensor(x)).data
         want = reference_mhsa(attn, x.astype(np.float64), x.astype(np.float64))
@@ -45,7 +45,7 @@ def test_mhsa_matches_brute_force_oracle(heads):
 
 def test_cross_attention_matches_oracle():
     rng = np.random.default_rng(32)
-    attn = MultiHeadAttention.build(np.random.default_rng(33), 8, 2)
+    attn = MultiHeadAttention(np.random.default_rng(33), 8, 2)
     q_src = rng.standard_normal((5, 8)).astype(np.float32)
     kv_src = rng.standard_normal((3, 8)).astype(np.float32)
     got = attn(Tensor(q_src), Tensor(kv_src)).data
@@ -57,7 +57,7 @@ def test_cross_attention_matches_oracle():
 def test_single_key_attention_ignores_the_queries():
     # with one key/value the softmax weight is 1 for every query
     rng = np.random.default_rng(34)
-    attn = MultiHeadAttention.build(np.random.default_rng(35), 8, 2)
+    attn = MultiHeadAttention(np.random.default_rng(35), 8, 2)
     kv = Tensor(rng.standard_normal((1, 8)).astype(np.float32))
     out = attn(Tensor(rng.standard_normal((6, 8)).astype(np.float32)), kv).data
     assert np.abs(out - out[0]).max() <= 1e-6
@@ -65,7 +65,7 @@ def test_single_key_attention_ignores_the_queries():
 
 def test_attention_weights_are_row_stochastic():
     rng = np.random.default_rng(36)
-    attn = MultiHeadAttention.build(np.random.default_rng(37), 8, 4)
+    attn = MultiHeadAttention(np.random.default_rng(37), 8, 4)
     x = Tensor(rng.standard_normal((9, 8)).astype(np.float32))
     _, w = attn(x, need_weights=True)
     assert w.shape == (9, 9)
@@ -74,11 +74,11 @@ def test_attention_weights_are_row_stochastic():
 
 def test_attention_rejects_indivisible_heads():
     with pytest.raises(ValueError):
-        MultiHeadAttention.build(np.random.default_rng(0), 6, 4)
+        MultiHeadAttention(np.random.default_rng(0), 6, 4)
 
 
 def test_linear_shape_validation():
-    lin = Linear.build(np.random.default_rng(1), 4, 3)
+    lin = Linear(np.random.default_rng(1), 4, 3)
     with pytest.raises(ValueError):
         lin(Tensor(np.zeros((2, 5))))
 
@@ -104,7 +104,7 @@ def test_init_schemes():
 
 def test_layernorm_layer_normalizes_rows():
     rng = np.random.default_rng(38)
-    ln = LayerNorm.build(np.random.default_rng(39), 16)
+    ln = LayerNorm(np.random.default_rng(39), 16)
     y = ln(Tensor(rng.standard_normal((4, 16)).astype(np.float32))).data
     assert np.abs(y.mean(axis=-1)).max() < 1e-5
     assert np.abs(y.std(axis=-1) - 1.0).max() < 1e-3

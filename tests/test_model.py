@@ -1,21 +1,23 @@
 """Full model assembly: shapes, determinism, serialization, and gradient
 coverage."""
 
+import hashlib
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dualtoken import tensor as T
-from dualtoken.checks import cast_model
-from dualtoken.model import (CheckpointError, ModelConfig, StageConfig,
-                             build_model, load_checkpoint, preset,
+from dualtoken.checks import _tiny_block, cast_model
+from dualtoken.data import gen_synthetic, load_dataset, save_dataset
+from dualtoken.model import (PRESET_NAMES, CheckpointError, ModelConfig,
+                             StageConfig, build_model, load_checkpoint, preset,
                              read_tensors, save_checkpoint, write_tensors)
 from dualtoken.tensor import GradTape, Tensor
-from dualtoken.train import cross_entropy
+from dualtoken.train import cross_entropy, load_state, save_state, train_toy
 
 
 def random_image(side, seed=0):
@@ -156,6 +158,57 @@ def test_backward_peak_memory_stays_near_the_forward_peak():
     assert step_peak <= 1.25 * forward_peak
 
 
+# sha256 over the name, dtype, shape and bytes of every `named_params()`
+# entry at seed 0: a layer that draws its parameters in another order, or
+# draws one more, changes them
+_INITIAL_DIGESTS = {
+    "dualtoken_t": "4d0dd061922f73e97f78a573c119c66418bb0d74e29d21ab32a02937eca37aa2",
+    "dualtoken_t_mix": "1182a2cebac857ddb6a73f61a0beef5b7cbceb1d19d34fb1d236f13abd22005f",
+    "dualtoken_s": "976f6b24cb41283b5767aa510cba0a85d7eb49eaa45ebf243811f4058068d2cb",
+    "dualtoken_s_mix": "d8b0cf003ed091e32013d317efe6066334cd54f0d08c80af2d13e769e7570b3c",
+    "toy": "c8af1ce5ae0604668ac20e1167b0839512720e694bda61f1cf6ffcff094ca4e2",
+    "toy_grad": "5accd8e6984b502eb84a30be829fe751427d352d64f0dfdd32f0025018102102",
+    "block": "fa8649b43bf13b50b509d5ac84e7559ec9e1604c896d23abeeddd7b48fc669ae",
+    "block.step_wise_8": "e546babe158b1ca1cb05d2f804b30d8e397bcc66ada1f0ef93268ab0864878a5",
+    "block.mix": "fa8649b43bf13b50b509d5ac84e7559ec9e1604c896d23abeeddd7b48fc669ae",
+    "block.window_msa": "e8cc1001f6c1f0a9055e5b28e9b960dd6724f0b530bf5464953c65040546d858",
+    "block.one_step": "fa8649b43bf13b50b509d5ac84e7559ec9e1604c896d23abeeddd7b48fc669ae",
+    "block.normal_msa": "451eb041b297769be02e6743fb8231cdec526e60773b88c79683b49dd38aad7e",
+    "block.position_aware_msa": "451eb041b297769be02e6743fb8231cdec526e60773b88c79683b49dd38aad7e",
+    "block.no_bidim": "7b5d30a11c882090b639145c2dca4f5b1220a1145d794117f681ea87efddea4a",
+}
+
+# the ablation variants `checks.gradcheck_blocks` builds, and the block
+# without bi-dimensional attention
+_BLOCK_VARIANTS = {
+    "block": {},
+    "block.step_wise_8": dict(resolution=8),
+    "block.mix": dict(mlp_kind="mix"),
+    "block.window_msa": dict(local_kind="window_msa", resolution=14, window=7),
+    "block.one_step": dict(ds_kind="one_step", resolution=8),
+    "block.normal_msa": dict(global_mode="normal_msa"),
+    "block.position_aware_msa": dict(global_mode="position_aware_msa"),
+    "block.no_bidim": dict(bidim=False),
+}
+
+
+def _digest(named_params):
+    h = hashlib.sha256()
+    for name, p in named_params:
+        h.update(f"{name} {p.data.dtype.str} {p.data.shape}\n".encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+def test_initial_weights_match_the_pinned_digests():
+    got = {name: _digest(build_model(name, seed=0).named_params())
+           for name in PRESET_NAMES}
+    for name, overrides in _BLOCK_VARIANTS.items():
+        _, block = _tiny_block(np.random.default_rng(0), **overrides)
+        got[name] = _digest(block.named_params())
+    assert got == _INITIAL_DIGESTS
+
+
 def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     model = build_model("toy_grad", seed=11)
     path = tmp_path / "model.dtvt"
@@ -202,6 +255,17 @@ def test_checkpoint_supports_float64(tmp_path):
     back = read_tensors(path)["a"]
     assert back.dtype == np.float64
     assert (back == arr).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64])
+def test_refused_write_leaves_the_existing_file_byte_identical(tmp_path, dtype):
+    path = tmp_path / "model.dtvt"
+    save_checkpoint(build_model("toy", seed=0), path)
+    before = path.read_bytes()
+    named = {"fine": np.zeros(3, np.float32), "odd": np.zeros(3, dtype)}
+    with pytest.raises(ValueError, match=f"odd has dtype {np.dtype(dtype)}"):
+        write_tensors(path, named)
+    assert path.read_bytes() == before
 
 
 def _two_tensor_blob(tmp_path):
@@ -288,21 +352,24 @@ def test_write_tensors_stores_little_endian_from_any_layout(tmp_path):
     assert back["a"].dtype == np.float32 and (back["a"] == native).all()
 
 
+def _damage(blob, truncate, where):
+    """`blob` cut short, or with one bit flipped, at the position `where`
+    (taken modulo the length, so a negative one counts from the end)."""
+    if truncate:
+        return blob[:where % len(blob)]
+    bit = where % (8 * len(blob))
+    blob = bytearray(blob)
+    blob[bit // 8] ^= 1 << (bit % 8)
+    return bytes(blob)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(truncate=st.booleans(), where=st.integers(0, 2 ** 20))
 def test_refused_checkpoint_leaves_every_parameter_unchanged(tmp_path, truncate, where):
     path = tmp_path / "damaged.dtvt"
     save_checkpoint(build_model("toy_grad", seed=6), path)
-    blob = path.read_bytes()
-    if truncate:
-        blob = blob[:where % len(blob)]
-    else:
-        bit = where % (8 * len(blob))
-        blob = bytearray(blob)
-        blob[bit // 8] ^= 1 << (bit % 8)
-        blob = bytes(blob)
-    path.write_bytes(blob)
+    path.write_bytes(_damage(path.read_bytes(), truncate, where))
     model = build_model("toy_grad", seed=7)
     before = {name: p.data.copy() for name, p in model.named_params()}
     try:
@@ -351,16 +418,42 @@ def test_damaged_container_reads_or_raises_checkpoint_error(tmp_path, case):
     assert list(back) == list(named)
     assert all((back[n] == a).all() and back[n].dtype == a.dtype
                for n, a in named.items())
-    if truncate:
-        blob = blob[:where % len(blob)]
-    else:
-        bit = where % (8 * len(blob))
-        blob = bytearray(blob)
-        blob[bit // 8] ^= 1 << (bit % 8)
-        blob = bytes(blob)
-    path.write_bytes(blob)
+    path.write_bytes(_damage(blob, truncate, where))
     try:
         read_tensors(path)
+    except CheckpointError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def healthy_blobs(tmp_path_factory):
+    """The bytes of a `toy_grad` training state after one AdamW step, and of
+    a small dataset."""
+    out = tmp_path_factory.mktemp("healthy")
+    state = train_toy(preset("toy_grad"), gen_synthetic(seed=0, n=4, classes=4),
+                      steps=1, lr=1e-3, micro_batch=2)
+    save_state(state, out / "state.dtvt")
+    save_dataset(gen_synthetic(seed=0, n=4, classes=4, side=8), out / "data.dtvt")
+    return {kind: (out / f"{kind}.dtvt").read_bytes() for kind in ("state", "data")}
+
+
+_LOADERS = {"state": lambda path: load_state(path, preset("toy_grad"), lr=1e-3),
+            "data": load_dataset}
+
+
+# a negative `where` counts from the end, where the state keeps `meta.*`
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(truncate=st.booleans(), where=st.integers(-2 ** 20, 2 ** 20))
+# in the state: the top exponent bit of meta.step, which turns 1.0 into inf
+@example(truncate=False, where=-298)
+def test_damaged_state_or_dataset_loads_or_raises_checkpoint_error(
+        tmp_path, healthy_blobs, kind, truncate, where):
+    path = tmp_path / "fuzz.dtvt"
+    path.write_bytes(_damage(healthy_blobs[kind], truncate, where))
+    try:
+        _LOADERS[kind](path)
     except CheckpointError:
         pass
 
