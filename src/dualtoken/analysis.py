@@ -25,6 +25,7 @@ TABLE_TARGETS = {
 }
 PARAM_TOL = 0.10
 FLOP_TOL = 0.15
+TOP_CELLS = 8  # cells `top_cells` returns
 
 
 @dataclass
@@ -58,14 +59,20 @@ class CostReport:
 
 
 def count_params(model: Model) -> CostReport:
-    """Exact per-layer parameter counts, grouped by the layer path."""
-    groups = {}
+    """Exact per-layer parameter counts. The rows are the layer paths that
+    `count_flops` names, in its order, each summing the parameters whose
+    names lie under it; a parameter under none of them (the initial global
+    tokens) is a row of its own, after them."""
+    rows = {e.path: CostEntry(e.path) for e in count_flops(model.cfg).entries}
     for name, p in model.named_params():
-        path = name.rsplit(".", 1)[0]
-        groups.setdefault(path, 0)
-        groups[path] += p.size
-    entries = [CostEntry(path, params=n) for path, n in groups.items()]
-    return CostReport(entries)
+        path = name
+        while path not in rows and "." in path:
+            path = path.rsplit(".", 1)[0]
+        if path not in rows:
+            path = name
+            rows[path] = CostEntry(path)
+        rows[path].params += p.size
+    return CostReport(list(rows.values()))
 
 
 def _attn_macs(nq, nk, c):
@@ -170,19 +177,15 @@ class AttentionMapExport:
         return np.mean(self.maps, axis=0)
 
 
-def extract_attention_map(model: Model, image, block="last", query="mean"):
-    """Head-averaged broadcast-attention rows for one image.
+def extract_attention_map(model: Model, image, query="mean"):
+    """Head-averaged broadcast-attention rows of the last block for one image.
 
-    `block` is "last" or an index into the flat block list; `query` is an
-    image-token index, "mean" (average over all queries), or "all".
+    `query` is an image-token index, "mean" (average over all queries), or
+    "all".
     """
     image = image if isinstance(image, Tensor) else Tensor(image)
     _, attention = model.forward(image)
-    paths = list(attention)
-    idx = len(paths) - 1 if block == "last" else int(block)
-    if not 0 <= idx < len(paths):
-        raise ValueError(f"block index {idx} out of range [0, {len(paths)})")
-    source_block = paths[idx]
+    source_block = list(attention)[-1]
     attn = attention[source_block]  # N x n_g
     n = attn.shape[0]
     side = model.cfg.token_grid if model.cfg.global_mode != "normal_msa" else None
@@ -206,10 +209,10 @@ def extract_attention_map(model: Model, image, block="last", query="mean"):
                               source_block=source_block)
 
 
-def top_cells(map2d, k=8):
-    """Indices of the k largest cells, strongest first (row, col) pairs."""
+def top_cells(map2d):
+    """Indices of the TOP_CELLS largest cells, strongest first (row, col) pairs."""
     flat = np.asarray(map2d).reshape(-1)
-    order = np.argsort(-flat, kind="stable")[:k]
+    order = np.argsort(-flat, kind="stable")[:TOP_CELLS]
     w = np.asarray(map2d).shape[-1]
     return [(int(i) // w, int(i) % w) for i in order]
 

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, checks, data as data_mod, train as train_mod
+from .gradcheck import GRADCHECK_TOL
 from .model import ModelConfig, PRESET_NAMES, build_model, preset
 from .tensor import Tensor
 
@@ -24,24 +25,24 @@ def _err(*args):
 
 
 def _load_config(args):
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = ModelConfig.from_json(fh.read())
     else:
         cfg = preset(args.preset)
     overrides = {}
-    if getattr(args, "local", None):
+    if args.local:
         overrides["local_kind"] = {"conv": "conv_encoder", "window": "window_msa"}[args.local]
-    if getattr(args, "mlp", None):
+    if args.mlp:
         overrides["mlp_kind"] = args.mlp
-    if getattr(args, "ds", None):
+    if args.ds:
         overrides["ds_kind"] = {"stepwise": "step_wise", "onestep": "one_step"}[args.ds]
-    if getattr(args, "tokens", None):
+    if args.tokens:
         overrides["global_mode"] = {"normal": "normal_msa",
                                     "posaware": "position_aware_sum"}[args.tokens]
-    if getattr(args, "grid", None):
+    if args.grid:
         overrides["token_grid"] = args.grid
-    if getattr(args, "resolution", None):
+    if args.resolution:
         overrides["input_resolution"] = args.resolution
     # rebuilt rather than mutated, so the overridden config is validated again
     cfg = dataclasses.replace(cfg, **overrides)
@@ -53,11 +54,31 @@ def _fail(check, expected, got, tol):
     print(f"FAIL {check} expected={expected} got={got} tol={tol}")
 
 
+def _check(check, ok, expected, got, tol):
+    """Print the PASS or FAIL line of one check; returns `ok`."""
+    if ok:
+        print(f"PASS {check} expected={expected} got={got} tol={tol}")
+    else:
+        _fail(check, expected, got, tol)
+    return ok
+
+
+def _load_image(args, cfg):
+    """The --image array, or a random image drawn from --seed at the
+    config's resolution, as float32."""
+    if args.image:
+        return np.load(args.image).astype(np.float32)
+    rng = np.random.default_rng(args.seed)
+    return rng.standard_normal(
+        (cfg.input_resolution, cfg.input_resolution, 3)).astype(np.float32)
+
+
 def cmd_count(args):
     cfg = _load_config(args)
     report = analysis.count_flops(cfg, cfg.input_resolution)
     model = build_model(cfg, seed=args.seed)
     params = analysis.count_params(model)
+    # the rows of both reports are the same layer paths
     macs_by_path = {e.path: e.macs for e in report.entries}
     for e in params.entries:
         e.macs = macs_by_path.get(e.path, 0)
@@ -67,20 +88,12 @@ def cmd_count(args):
     print(f"macs_total {report.total_macs} resolution {report.resolution}")
     ok = True
     if cfg.name in analysis.TABLE_TARGETS:
-        p_target, f_target = analysis.TABLE_TARGETS[cfg.name]
-        p_got, f_got = params.total_params, report.total_macs
-        if abs(p_got - p_target) / p_target <= analysis.PARAM_TOL:
-            print(f"PASS params_{cfg.name} expected={p_target:.3g} got={p_got} "
-                  f"tol={analysis.PARAM_TOL}")
-        else:
-            _fail(f"params_{cfg.name}", f"{p_target:.3g}", p_got, analysis.PARAM_TOL)
-            ok = False
-        if abs(f_got - f_target) / f_target <= analysis.FLOP_TOL:
-            print(f"PASS flops_{cfg.name} expected={f_target:.3g} got={f_got} "
-                  f"tol={analysis.FLOP_TOL}")
-        else:
-            _fail(f"flops_{cfg.name}", f"{f_target:.3g}", f_got, analysis.FLOP_TOL)
-            ok = False
+        targets = zip(("params", "flops"), analysis.TABLE_TARGETS[cfg.name],
+                      (params.total_params, report.total_macs),
+                      (analysis.PARAM_TOL, analysis.FLOP_TOL))
+        for kind, target, got, tol in targets:
+            ok &= _check(f"{kind}_{cfg.name}", abs(got - target) / target <= tol,
+                         f"{target:.3g}", got, tol)
     return 0 if ok else 1
 
 
@@ -88,13 +101,7 @@ def cmd_forward(args):
     cfg = _load_config(args)
     _err(f"seed: {args.seed}")
     model = build_model(cfg, seed=args.seed)
-    if args.image:
-        img = np.load(args.image).astype(np.float32)
-    else:
-        rng = np.random.default_rng(args.seed)
-        img = rng.standard_normal(
-            (cfg.input_resolution, cfg.input_resolution, 3)).astype(np.float32)
-    logits, _ = model.forward(Tensor(img), want_activations=False)
+    logits, _ = model.forward(Tensor(_load_image(args, cfg)), want_activations=False)
     z = logits.data
     if not np.isfinite(z).all():
         _fail("forward_finite", "finite", "non-finite", 0)
@@ -112,13 +119,8 @@ def cmd_gradcheck(args):
               "model": checks.gradcheck_model}
     ok = True
     for name, report in suites[args.scope]():
-        if report.passed:
-            print(f"PASS gradcheck_{name} expected=<=0.0001 "
-                  f"got={report.max_rel_err:.3g} tol=0.0001")
-        else:
-            _fail(f"gradcheck_{name}", "<=0.0001", f"{report.max_rel_err:.3g}",
-                  0.0001)
-            ok = False
+        ok &= _check(f"gradcheck_{name}", report.passed, f"<={GRADCHECK_TOL}",
+                     f"{report.max_rel_err:.3g}", GRADCHECK_TOL)
     return 0 if ok else 1
 
 
@@ -150,13 +152,7 @@ def cmd_attnmap(args):
     cfg = _load_config(args)
     _err(f"seed: {args.seed}")
     model = build_model(cfg, seed=args.seed)
-    if args.image:
-        img = np.load(args.image).astype(np.float32)
-    else:
-        rng = np.random.default_rng(args.seed)
-        img = rng.standard_normal(
-            (cfg.input_resolution, cfg.input_resolution, 3)).astype(np.float32)
-    export = analysis.extract_attention_map(model, img, block="last",
+    export = analysis.extract_attention_map(model, _load_image(args, cfg),
                                             query=args.query)
     os.makedirs(args.out, exist_ok=True)
     ok = True
@@ -167,9 +163,10 @@ def cmd_attnmap(args):
             ok = False
         path = os.path.join(args.out, f"map_{q}.{args.format}")
         analysis.export_heatmap(m, path, fmt=args.format)
-        cells = analysis.top_cells(m, 8)
+        cells = analysis.top_cells(m)
         print(f"map query={q} block={export.source_block} "
-              f"top8={';'.join(f'{r},{c}' for r, c in cells)} file={path}")
+              f"top{analysis.TOP_CELLS}={';'.join(f'{r},{c}' for r, c in cells)} "
+              f"file={path}")
     return 0 if ok else 1
 
 
@@ -203,11 +200,10 @@ def build_parser():
     p = _Parser(prog="dualtoken", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
+    def common(sp):
         sp.add_argument("--preset", default="toy", choices=PRESET_NAMES)
-        if config:
-            sp.add_argument("--config", default=None,
-                            help="JSON model config (overrides --preset)")
+        sp.add_argument("--config", default=None,
+                        help="JSON model config (overrides --preset)")
         sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--resolution", type=int, default=None)
         sp.add_argument("--local", choices=["conv", "window"], default=None)

@@ -27,15 +27,14 @@ class SyntheticDataset:
         return len(self.labels)
 
 
-def gen_synthetic(seed=42, n=800, classes=8, side=32, patch=None, noise=0.15):
+def gen_synthetic(seed=42, n=800, classes=8, side=32):
     """Deterministic dataset; labels are assigned round-robin (i % classes)."""
     check_positive_int("n", n)
     if side % 8 != 0:
         raise ValueError(f"side {side} must be divisible by 8")
     if classes < 2:
         raise ValueError("need at least 2 classes")
-    if patch is None:
-        patch = max(side // 4, 4)
+    patch = max(side // 4, 4)
     rng = np.random.default_rng(seed)
     cells = side // patch
     images = np.zeros((n, side, side, 3), dtype=np.float32)
@@ -43,7 +42,7 @@ def gen_synthetic(seed=42, n=800, classes=8, side=32, patch=None, noise=0.15):
     yy, xx = np.mgrid[0:patch, 0:patch].astype(np.float64)
     for i in range(n):
         k = labels[i]
-        img = rng.normal(0.0, noise, size=(side, side, 3))
+        img = rng.normal(0.0, 0.15, size=(side, side, 3))  # background noise
         # class-specific cell position and stripe orientation
         ci, cj = divmod(int(k) % (cells * cells), cells)
         theta = np.pi * k / classes

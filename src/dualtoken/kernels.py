@@ -10,18 +10,18 @@ per-tap temporary.
   itself, with no copy), so the forward is one GEMM against the weights as
   a (kh*kw*Cin) x Cout matrix. The backward is two GEMMs, dW = cols^T dy
   and dcols = dy W^T, then one strided in-place add per tap into dx.
-- Depthwise convolutions (groups == Cin == Cout) are one `np.einsum` over a
-  window view of the input rows flattened to W*C, so that each output row
-  is a run of Wo*C contiguous elements. A strided one keeps every
-  stride-th output of the stride-1 correlation. dW contracts the
-  (Ho, Wo, C, kh, kw) window view at the stride with dy. dx is the full
-  correlation of dy, zero-dilated by the stride and padded by the kernel
+- Depthwise convolutions (groups == Cin == Cout) are stride 1; `tensor.conv2d`
+  rejects any other stride. The forward is one `np.einsum` over a window
+  view of the input rows flattened to W*C, so that each output row is a run
+  of Wo*C contiguous elements. dW contracts the (Ho, Wo, C, kh, kw) window
+  view with dy. dx is the full correlation of dy, padded by the kernel
   extent, with the flipped taps: the forward's contraction again.
 
 Layout conventions: feature maps are H x W x C (channel-last), weights are
 kh x kw x (Cin/groups) x Cout. Inputs arrive already padded; `stride` and
-`groups` are plain ints. Outputs keep the input dtype. The backward skips
-dx when asked to (the image entering the stem needs none).
+`groups` are plain ints, and `stride` is 1 whenever `groups` is not. Outputs
+keep the input dtype. The backward skips dx when asked to (the image
+entering the stem needs none).
 """
 
 import numpy as np
@@ -81,10 +81,7 @@ def conv_forward(xp, w, stride, groups):
     xp = np.ascontiguousarray(xp)
     kh, kw, _, cout = w.shape
     if groups != 1:
-        y = _depthwise(xp, w[:, :, 0, :])
-        # a strided depthwise conv (none in the model) keeps every
-        # stride-th output of the stride-1 one
-        return y if stride == 1 else np.ascontiguousarray(y[::stride, ::stride])
+        return _depthwise(xp, w[:, :, 0, :])
     ho = (xp.shape[0] - kh) // stride + 1
     wo = (xp.shape[1] - kw) // stride + 1
     return (_im2col(xp, kh, kw, stride) @ w.reshape(-1, cout)).reshape(ho, wo, cout)
@@ -98,17 +95,13 @@ def conv_backward(xp, w, dy, need_dx, stride, groups):
     kh, kw, _, cout = w.shape
     ho, wo = dy.shape[:2]
     if groups != 1:
-        dw = np.einsum("hwckl,hwc->klc", _windows(xp, kh, kw, stride), dy)[:, :, None, :]
+        dw = np.einsum("hwckl,hwc->klc", _windows(xp, kh, kw, 1), dy)[:, :, None, :]
         if not need_dx:
             return None, dw
-        # dy dilated by the stride inside a border of kh-1 (kw-1) zeros; the
-        # far border also covers the rows (columns) no window reached
-        dyd = np.zeros(((ho - 1) * stride + 2 * kh - 1 + (hp - kh) % stride,
-                        (wo - 1) * stride + 2 * kw - 1 + (wp - kw) % stride,
-                        cout), dtype=dy.dtype)
-        dyd[kh - 1:kh + (ho - 1) * stride:stride,
-            kw - 1:kw + (wo - 1) * stride:stride] = dy
-        return _depthwise(dyd, w[::-1, ::-1, 0, :]), dw
+        # dy inside a border of kh-1 (kw-1) zeros
+        dyp = np.zeros((ho + 2 * (kh - 1), wo + 2 * (kw - 1), cout), dtype=dy.dtype)
+        dyp[kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = dy
+        return _depthwise(dyp, w[::-1, ::-1, 0, :]), dw
     dy2 = dy.reshape(-1, cout)
     dw = (_im2col(xp, kh, kw, stride).T @ dy2).reshape(w.shape)
     if not need_dx:

@@ -16,12 +16,13 @@ from .tensor import Tensor
 
 # float64 draws per trunc_normal chunk: 512 KB of scratch, whatever the shape
 _INIT_CHUNK = 65536
+_INIT_STD = 0.02  # standard deviation of the trunc_normal draws
 
 
-def init_params(rng, shape, scheme="trunc_normal", std=0.02):
+def init_params(rng, shape, scheme="trunc_normal"):
     """Parameter initialization drawn from the generator `rng`.
 
-    trunc_normal samples N(0, std^2) clipped to +-2 std; zeros/ones are what
+    trunc_normal samples N(0, 0.02^2) clipped to +-0.04; zeros/ones are what
     they say and draw nothing. The same rng state always yields bit-identical
     data. The normal draws are made in float64 chunks of `_INIT_CHUNK`, each
     clipped in place and written into the float32 result: the generator
@@ -36,8 +37,8 @@ def init_params(rng, shape, scheme="trunc_normal", std=0.02):
         data = np.empty(shape, dtype=np.float32)
         flat = data.reshape(-1)
         for i in range(0, flat.size, _INIT_CHUNK):
-            chunk = rng.normal(0.0, std, size=min(_INIT_CHUNK, flat.size - i))
-            np.clip(chunk, -2.0 * std, 2.0 * std, out=chunk)
+            chunk = rng.normal(0.0, _INIT_STD, size=min(_INIT_CHUNK, flat.size - i))
+            np.clip(chunk, -2.0 * _INIT_STD, 2.0 * _INIT_STD, out=chunk)
             flat[i:i + chunk.size] = chunk
     else:
         raise ValueError(f"unknown init scheme {scheme!r}")

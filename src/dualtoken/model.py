@@ -24,9 +24,6 @@ class StageConfig:
     heads: int
     dw_kernel: int | None = None  # None on the stage that skips the local branch
 
-    def to_dict(self):
-        return asdict(self)
-
     def __post_init__(self):
         for name in ("blocks", "channels", "heads"):
             check_positive_int(f"stage {name}", getattr(self, name))
@@ -107,9 +104,7 @@ class ModelConfig:
             resolution=self.stage_resolution(stage_index))
 
     def to_dict(self):
-        d = asdict(self)
-        d["stages"] = [s.to_dict() for s in self.stages]
-        return d
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -248,6 +243,8 @@ class Model:
         `want_activations` is False.
         """
         cfg = self.cfg
+        if not isinstance(images, T.Tensor):
+            raise ValueError(f"expected the image as a Tensor, got {type(images).__name__}")
         if (len(images.shape) != 3 or images.shape[0] != images.shape[1]
                 or images.shape[2] != 3):
             raise ValueError(f"expected a square S x S x 3 image, got {images.shape}")
@@ -396,7 +393,9 @@ def _read_index(fh, path):
 def _read_payload(fh, path, name, entry, out):
     """Read the payload of the index `entry` into the array `out` of its
     shape, in place: straight into `out`'s buffer, or through a scratch array
-    when `out` has another dtype or byte order, or is not C-contiguous."""
+    when `out` has another dtype or byte order, or is not C-contiguous. A
+    value beyond the range of `out`'s dtype raises `CheckpointError`, and
+    leaves `out` unchanged."""
     dtype, _, offset = entry
     stored = dtype.newbyteorder("<")
     direct = out.dtype == stored and out.flags.c_contiguous
@@ -405,7 +404,7 @@ def _read_payload(fh, path, name, entry, out):
     if fh.readinto(buf.reshape(-1).view(np.uint8)) != buf.nbytes:
         raise CheckpointError(f"{path}: {name} was cut short while it was read")
     if buf is not out:
-        np.copyto(out, buf, casting="unsafe")
+        np.copyto(out, cast_stored(path, name, buf, out.dtype))
 
 
 def read_tensors(path):
@@ -462,12 +461,22 @@ def save_checkpoint(model, path):
 def load_checkpoint(model, path):
     """Load parameters in place; names and shapes must match the model's
     config. Every name and shape is checked before the first payload is
-    read, so a container that is refused leaves the model unchanged."""
+    read, and every payload stored in another dtype is cast, with its range
+    checked, before the first parameter is written; so a container that is
+    refused leaves the model unchanged."""
     params = model.param_dict()
     with open(path, "rb") as fh:
         index = _read_index(fh, path)
         check_tensors(path, {n: dims for n, (_, dims, _) in index.items()},
                       {n: p.shape for n, p in params.items()})
+        cast = {}
         for name, p in params.items():
-            _read_payload(fh, path, name, index[name], p.data)
+            if index[name][0] != p.data.dtype:
+                cast[name] = np.empty_like(p.data)
+                _read_payload(fh, path, name, index[name], cast[name])
+        for name, p in params.items():
+            if name in cast:
+                p.data[...] = cast[name]
+            else:
+                _read_payload(fh, path, name, index[name], p.data)
     return model

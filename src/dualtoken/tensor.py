@@ -2,8 +2,9 @@
 reverse-mode gradients.
 
 Tensors wrap a contiguous numpy array (f32 or f64, channel-last for spatial
-data). Ops are plain functions; while a GradTape is active and an input
-carries `requires_grad`, each op appends a backward closure to the tape.
+data). Ops are plain functions of `Tensor`s, which they do not convert; while
+a GradTape is active and an input carries `requires_grad`, each op appends a
+backward closure to the tape.
 `backward()` replays the tape in reverse and consumes it: each record, with
 the arrays its closure saved, is released as soon as it has run.
 
@@ -38,6 +39,7 @@ _RATIONAL_ERF_MIN_SIZE = 4096
 # happens and gelu(-inf) is 0
 _GELU_TAIL = 40.0
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
+_LN_EPS = 1e-6  # added to the variance under layernorm's square root
 
 
 class Tensor:
@@ -45,14 +47,14 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, dtype=None, requires_grad=False):
+    def __init__(self, data, requires_grad=False):
         # fast path: ops hand over fresh C-contiguous float arrays (a 0-d
         # array still goes the long way, where it becomes shape (1,))
-        if (dtype is None and type(data) is np.ndarray and data.ndim
+        if (type(data) is np.ndarray and data.ndim
                 and data.dtype in _FLOATS and data.flags.c_contiguous):
             self.data = data
         else:
-            arr = np.asarray(data, dtype=dtype)
+            arr = np.asarray(data)
             if arr.dtype not in _FLOATS:
                 arr = arr.astype(np.float32)
             self.data = np.ascontiguousarray(arr)
@@ -79,10 +81,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x, dtype=None):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,6 @@ def _count(n):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)
     if _trace(a, b):
         def bwd(g, a=a, b=b):
@@ -228,7 +225,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data - b.data)
     if _trace(a, b):
         def bwd(g, a=a, b=b):
@@ -241,7 +237,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
     if _trace(a, b):
         def bwd(g, a=a, b=b):
@@ -254,7 +249,6 @@ def mul(a, b):
 
 
 def scale(a, s):
-    a = as_tensor(a)
     s = float(s)
     out = Tensor(a.data * s)
     if _trace(a):
@@ -350,7 +344,6 @@ def gelu(x):
     clamped at -40 (and at +40 for the pdf), where the tails are exactly 0 or
     1, so gelu(-inf) is 0 with gradient 0, and gelu(inf) is inf with
     gradient 1; NaN stays NaN."""
-    x = as_tensor(x)
     if x.data.dtype == np.float64:
         phi = _phi_exact_f64(x.data)
     elif x.data.size >= _RATIONAL_ERF_MIN_SIZE:
@@ -380,7 +373,6 @@ def sigmoid(x):
     """1 / (1 + exp(-x)), written as 1 / (1 + e) for x >= 0 and e / (1 + e)
     below, with e = exp(-|x|) <= 1: nothing overflows, both tails keep full
     relative accuracy, sigmoid(+-inf) is exactly 1 and 0, and NaN stays NaN."""
-    x = as_tensor(x)
     e = np.abs(x.data)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -400,7 +392,6 @@ def sigmoid(x):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -419,9 +410,9 @@ def matmul(a, b):
     return out
 
 
-def conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
-    """Cross-correlation on an H x W x Cin map with kh x kw x Cin/g x Cout weights."""
-    x, w = as_tensor(x), as_tensor(w)
+def conv2d(x, w, bias, stride=1, padding=0, groups=1):
+    """Cross-correlation on an H x W x Cin map with kh x kw x Cin/g x Cout
+    weights plus a bias; a depthwise one (groups=cin=cout) is stride 1."""
     kh, kw, cig, cout = w.shape
     h, wdt, cin = x.shape
     if padding == "same":
@@ -437,6 +428,8 @@ def conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
     if cig != cin // groups:
         raise ValueError(
             f"weight per-group cin={cig} does not match cin={cin} groups={groups}")
+    if groups != 1 and stride != 1:
+        raise ValueError(f"a depthwise conv2d is stride 1, got stride={stride}")
     if ph or pw:
         # a zero buffer and one slice assignment: np.pad costs ~10x more
         xp = np.zeros((h + 2 * ph, wdt + 2 * pw, cin), dtype=x.data.dtype)
@@ -446,12 +439,8 @@ def conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (wdt + 2 * pw - kw) // stride + 1
     _count(ho * wo * kh * kw * cig * cout)
-    y = kernels.conv_forward(xp, w.data, stride, groups)
-    if bias is not None:
-        bias = as_tensor(bias)
-        y = y + bias.data
-    out = Tensor(y)
-    if _trace(x, w) or (bias is not None and _trace(bias)):
+    out = Tensor(kernels.conv_forward(xp, w.data, stride, groups) + bias.data)
+    if _trace(x, w, bias):
         def bwd(g, x=x, w=w, bias=bias, xp=xp, ph=ph, pw=pw, stride=stride, groups=groups):
             g = np.ascontiguousarray(g)
             # no input gradient for an input that takes none, such as an image
@@ -461,16 +450,13 @@ def conv2d(x, w, bias=None, stride=1, padding=0, groups=1):
                 _accum(x, dxp[ph:ph + h, pw:pw + wdt, :])
             if w.requires_grad:
                 _accum(w, dw)
-            if bias is not None and bias.requires_grad:
+            if bias.requires_grad:
                 _accum(bias, g.sum(axis=(0, 1)))
         _emit(out, bwd)
     return out
 
 
-def avgpool2d(x, k=2, stride=None):
-    x = as_tensor(x)
-    if stride is not None and stride != k:
-        raise ValueError("avgpool2d only supports stride == kernel")
+def avgpool2d(x, k=2):
     h, w, c = x.shape
     if h % k or w % k:
         raise ValueError(f"avgpool2d: spatial extents {h}x{w} not divisible by {k}")
@@ -484,9 +470,8 @@ def avgpool2d(x, k=2, stride=None):
     return out
 
 
-def layernorm(x, gamma, beta, eps=1e-6):
+def layernorm(x, gamma, beta):
     """Normalize over the last (channel) axis with a learned affine."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
     if c < 1:
         raise ValueError("layernorm needs at least one channel")
@@ -494,7 +479,7 @@ def layernorm(x, gamma, beta, eps=1e-6):
     mu = x.data.sum(axis=-1, keepdims=True) * inv_c
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) * inv_c
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     out = Tensor(xhat * gamma.data + beta.data)
     if _trace(x, gamma, beta):
@@ -514,7 +499,6 @@ def layernorm(x, gamma, beta, eps=1e-6):
 
 def softmax(x):
     """Row softmax over the last axis, with max-subtraction."""
-    x = as_tensor(x)
     if not np.isfinite(x.data).all():
         raise FloatingPointError("softmax received non-finite input")
     z = x.data - x.data.max(axis=-1, keepdims=True)
@@ -542,7 +526,6 @@ def _interp_indices(n_in, n_out, dtype):
 def bilinear_resize(x, out_h, out_w):
     """Separable bilinear resampling; constant fields are preserved exactly
     (lerp form x0 + f*(x1-x0))."""
-    x = as_tensor(x)
     if out_h < 1 or out_w < 1:
         raise ValueError("bilinear_resize output extents must be positive")
     h, w, c = x.shape
@@ -571,7 +554,6 @@ def bilinear_resize(x, out_h, out_w):
 # ---------------------------------------------------------------------------
 
 def reshape(x, shape):
-    x = as_tensor(x)
     out = Tensor(x.data.reshape(shape))
     if _trace(x):
         def bwd(g, x=x):
@@ -581,7 +563,6 @@ def reshape(x, shape):
 
 
 def transpose(x, axes=None):
-    x = as_tensor(x)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
     if _trace(x):
         def bwd(g, x=x, axes=axes):
@@ -592,7 +573,6 @@ def transpose(x, axes=None):
 
 
 def concat(xs, axis=0):
-    xs = [as_tensor(x) for x in xs]
     out = Tensor(np.concatenate([x.data for x in xs], axis=axis))
     if _ACTIVE_TAPE is not None and any(x.requires_grad for x in xs):
         sizes = [x.shape[axis] for x in xs]
@@ -608,7 +588,6 @@ def concat(xs, axis=0):
 
 
 def slice_axis(x, axis, start, stop):
-    x = as_tensor(x)
     idx = [slice(None)] * x.data.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
@@ -624,7 +603,6 @@ def slice_axis(x, axis, start, stop):
 
 
 def sum(x, axis=None, keepdims=False):  # noqa: A001 - deliberate op name
-    x = as_tensor(x)
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
     if _trace(x):
         def bwd(g, x=x, axis=axis, keepdims=keepdims):
@@ -636,7 +614,6 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - deliberate op name
 
 
 def mean(x, axis=None, keepdims=False):
-    x = as_tensor(x)
     out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
     if _trace(x):
         n = x.data.size if axis is None else x.data.shape[axis]

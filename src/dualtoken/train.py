@@ -56,25 +56,20 @@ class TrainState:
     step: int = 0
     loss_history: list = field(default_factory=list)
     moments: dict = field(default_factory=dict)   # AdamW first/second moments
-    weight_decay: float = 4e-2
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adamw"):
             raise ValueError(f"optimizer must be sgd or adamw, got {self.optimizer!r}")
-        for name in ("lr", "weight_decay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise ValueError(f"betas must be two values in [0, 1), got {self.betas!r}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps!r}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
 
 
 # elements per update block: 128 KB in f32, so a block's operands stay in L2
 _BLOCK = 32768
+# AdamW's moment decay rates, epsilon and decoupled weight decay
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+ADAMW_WEIGHT_DECAY = 4e-2
 
 
 def _apply_update(state, micro_batch):
@@ -87,7 +82,7 @@ def _apply_update(state, micro_batch):
         for _, p in params:
             p.data -= (lr / micro_batch) * p.grad
         return
-    b1, b2 = state.betas
+    b1, b2 = ADAMW_BETAS
     t = state.step + 1
     # the bias corrections, lr, decay and 1/micro_batch folded into scalars:
     # p <- p (1 - lr wd) - lr/bc1 * m / (sqrt(v) / sqrt(bc2) + eps)
@@ -95,7 +90,7 @@ def _apply_update(state, micro_batch):
     g2 = (1 - b2) / (micro_batch * micro_batch)
     inv_sqrt_bc2 = 1 / math.sqrt(1 - b2 ** t)
     step_size = lr / (1 - b1 ** t)
-    decay = 1 - lr * state.weight_decay
+    decay = 1 - lr * ADAMW_WEIGHT_DECAY
     scratch = {}
     for name, p in params:
         if name not in state.moments:
@@ -116,7 +111,7 @@ def _apply_update(state, micro_batch):
             vb += s1
             np.sqrt(vb, out=s1)
             s1 *= inv_sqrt_bc2
-            s1 += state.eps
+            s1 += ADAMW_EPS
             np.divide(mb, s1, out=s2)
             s2 *= step_size
             pb *= decay
@@ -161,15 +156,15 @@ def train_step(state, dataset, micro_batch=8):
     return mean_loss
 
 
-def train_toy(cfg, dataset, steps=200, lr=1e-3, optimizer="adamw", seed=42,
-              micro_batch=8, state=None, log=None):
-    """Run `steps` optimizer steps on the dataset; resumable via `state`."""
+def train_toy(cfg, dataset, steps=200, lr=1e-3, seed=42, state=None, log=None):
+    """Run `steps` AdamW steps of `train_step`'s default micro-batch on the
+    dataset; resumable via `state`."""
     check_positive_int("steps", steps)
     if state is None:
         model = cfg if isinstance(cfg, Model) else build_model(cfg, seed=seed)
-        state = TrainState(model=model, optimizer=optimizer, lr=lr)
+        state = TrainState(model=model, optimizer="adamw", lr=lr)
     for _ in range(steps):
-        loss = train_step(state, dataset, micro_batch=micro_batch)
+        loss = train_step(state, dataset)
         if log is not None and state.step % 50 == 0:
             log(f"step {state.step}: loss {loss:.4f}")
     return state
@@ -199,8 +194,9 @@ def save_state(state, path):
     write_tensors(path, named)
 
 
-def load_state(path, cfg, optimizer="adamw", lr=1e-3, seed=42):
-    """Resume a state written by `save_state` into a model built from `cfg`.
+def load_state(path, cfg, seed=42):
+    """Resume a state written by `save_state` into a model built from `cfg`,
+    as AdamW at the learning rate `train_toy` defaults to.
 
     The container must hold exactly one `param.<name>` per model parameter,
     an `adam.m.<name>` and `adam.v.<name>` pair per AdamW moment it stores,
@@ -209,7 +205,7 @@ def load_state(path, cfg, optimizer="adamw", lr=1e-3, seed=42):
     `CheckpointError` naming the tensor."""
     tensors = read_tensors(path)
     model = build_model(cfg, seed=seed)
-    state = TrainState(model=model, optimizer=optimizer, lr=lr)
+    state = TrainState(model=model, optimizer="adamw", lr=1e-3)
     params = model.param_dict()
     expected = {f"param.{name}": p.shape for name, p in params.items()}
     for name, p in params.items():

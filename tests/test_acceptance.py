@@ -233,7 +233,7 @@ def test_criterion_9_artifact_round_trips(tmp_path):
     half = train_toy(preset("toy_grad"), ds, steps=3, lr=1e-3, seed=5)
     state_path = tmp_path / "state.dtvt"
     save_state(half, state_path)
-    resumed = load_state(state_path, preset("toy_grad"), lr=1e-3, seed=5)
+    resumed = load_state(state_path, preset("toy_grad"), seed=5)
     train_toy(None, ds, steps=3, state=resumed)
     if resumed.loss_history != straight.loss_history:
         problems.append("resume loss history")
@@ -261,8 +261,8 @@ def test_criterion_10_attention_map_pipeline():
     model = build_model(cfg, seed=13)
     img = np.random.default_rng(14).standard_normal((64, 64, 3)).astype(np.float32)
     problems = []
-    full = extract_attention_map(model, img, block="last", query="all")
-    mean = extract_attention_map(model, img, block="last", query="mean")
+    full = extract_attention_map(model, img, query="all")
+    mean = extract_attention_map(model, img, query="mean")
     for q, m in zip(full.queries, full.maps):
         if m.shape != (7, 7):
             problems.append(f"query {q} shape {m.shape}")
@@ -271,7 +271,7 @@ def test_criterion_10_attention_map_pipeline():
     if np.abs(mean.maps[0] - np.mean(full.maps, axis=0)).max() > 1e-7:
         problems.append("mean map mismatch")
     m = mean.maps[0]
-    got = top_cells(m, 8)
+    got = top_cells(m)
     order = sorted(((m[r, c], (r, c)) for r in range(7) for c in range(7)),
                    key=lambda t: -t[0])
     if got != [rc for _, rc in order[:8]]:

@@ -94,22 +94,10 @@ def test_attention_map_query_out_of_range():
         extract_attention_map(model, img, query=100)
 
 
-def test_attention_map_block_out_of_range():
-    # toy_grad has one block per stage: indices 0, 1 and 2
-    model = build_model("toy_grad", seed=7)
-    img = np.zeros((32, 32, 3), np.float32)
-    for block in (3, 7, -1):
-        with pytest.raises(ValueError, match="block index"):
-            extract_attention_map(model, img, block=block)
-    last = extract_attention_map(model, img, block=2)
-    assert last.source_block == "stage3.block0"
-    assert (last.maps[0] == extract_attention_map(model, img).maps[0]).all()
-
-
 def test_top_cells_matches_a_sort_oracle():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((7, 7))
-    got = top_cells(m, 8)
+    got = top_cells(m)
     order = sorted(((m[r, c], (r, c)) for r in range(7) for c in range(7)),
                    key=lambda t: -t[0])
     want = [rc for _, rc in order[:8]]

@@ -3,6 +3,7 @@ determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from dualtoken import cli
+from dualtoken.analysis import count_flops
 from dualtoken.model import preset
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -43,6 +45,27 @@ def test_count_toy_reports_totals(capsys):
     assert "params_total" in out
     assert "macs_total" in out
     assert "config:" in err
+
+
+@pytest.mark.parametrize("name", ["toy", "dualtoken_s"])
+def test_count_table_agrees_with_the_totals(name, capsys):
+    code, out, _ = run(["count", "--preset", name], capsys)
+    assert code == 0
+    rows = {}
+    for line in out.splitlines():
+        row = re.fullmatch(r"(\S+) +params= *(\d+) macs= *(\d+)", line)
+        if row:
+            rows[row[1]] = (int(row[2]), int(row[3]))
+    total = rows.pop("TOTAL")
+    # one row per count_flops layer, with its MACs, plus the initial global
+    # tokens, which take parameters and no MACs
+    want = {e.path: e.macs for e in count_flops(preset(name)).entries}
+    want["global_tokens.init"] = 0
+    assert {path: macs for path, (_, macs) in rows.items()} == want
+    assert sum(params for params, _ in rows.values()) == total[0]
+    totals = dict(line.split()[:2] for line in out.splitlines()
+                  if line.startswith(("params_total ", "macs_total ")))
+    assert total == (int(totals["params_total"]), int(totals["macs_total"]))
 
 
 def test_count_published_preset_passes(capsys):

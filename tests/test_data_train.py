@@ -9,7 +9,8 @@ from dualtoken.data import (SyntheticDataset, gen_synthetic, load_dataset,
 from dualtoken.model import (CheckpointError, build_model, preset,
                              read_tensors, write_tensors)
 from dualtoken.tensor import Tensor
-from dualtoken.train import (TrainState, TrainingDiverged, _apply_update,
+from dualtoken.train import (ADAMW_BETAS, ADAMW_EPS, ADAMW_WEIGHT_DECAY,
+                             TrainState, TrainingDiverged, _apply_update,
                              cross_entropy, evaluate, load_state, save_state,
                              train_step, train_toy)
 
@@ -82,7 +83,7 @@ def test_zero_learning_rate_changes_nothing():
     # n equals the micro-batch so every step sees the same samples
     ds = grad_dataset(n=8)
     before = {n: p.data.copy() for n, p in model.named_params()}
-    state = train_toy(model, ds, steps=3, lr=0.0, optimizer="sgd")
+    state = train_toy(model, ds, steps=3, lr=0.0)
     assert max(state.loss_history) - min(state.loss_history) == 0.0
     for n, p in model.named_params():
         assert (p.data == before[n]).all()
@@ -104,7 +105,7 @@ def test_resume_replays_bitwise(tmp_path):
     half = train_toy(preset("toy_grad"), ds, steps=3, lr=1e-3, seed=5)
     path = tmp_path / "state.dtvt"
     save_state(half, path)
-    resumed = load_state(path, preset("toy_grad"), lr=1e-3, seed=5)
+    resumed = load_state(path, preset("toy_grad"), seed=5)
     assert resumed.step == 3
     train_toy(None, ds, steps=3, state=resumed)
     assert resumed.loss_history == straight.loss_history
@@ -118,7 +119,7 @@ def test_float64_state_round_trips_moments(tmp_path):
     state = train_toy(model, grad_dataset(n=16), steps=2, lr=1e-3)
     path = tmp_path / "state.dtvt"
     save_state(state, path)
-    loaded = load_state(path, preset("toy_grad"), lr=1e-3, seed=5)
+    loaded = load_state(path, preset("toy_grad"), seed=5)
     saved = state.model.param_dict()
     for name, p in loaded.model.named_params():
         assert p.data.dtype == np.float64, name
@@ -140,7 +141,7 @@ def test_state_without_a_key_raises_checkpoint_error(tmp_path, key):
     del named[key]
     write_tensors(path, named)
     with pytest.raises(CheckpointError, match=key):
-        load_state(path, preset("toy_grad"), lr=1e-3)
+        load_state(path, preset("toy_grad"))
 
 
 def _set(key, value):
@@ -172,7 +173,7 @@ def test_malformed_state_raises_checkpoint_error_naming_the_tensor(tmp_path, key
     edit(named)
     write_tensors(path, named)
     with pytest.raises(CheckpointError, match=key):
-        load_state(path, preset("toy_grad"), lr=1e-3)
+        load_state(path, preset("toy_grad"))
 
 
 def _dataset_with(**changes):
@@ -250,7 +251,7 @@ def _reference_update(state, grads):
         for name, p in state.model.named_params():
             p.data -= (lr * grads[name]).astype(p.data.dtype)
         return
-    b1, b2 = state.betas
+    b1, b2 = ADAMW_BETAS
     t = state.step + 1
     for name, p in state.model.named_params():
         g = grads[name]
@@ -262,8 +263,8 @@ def _reference_update(state, grads):
         state.moments[name] = (m, v)
         mhat = m / (1 - b1 ** t)
         vhat = v / (1 - b2 ** t)
-        p.data -= (lr * (mhat / (np.sqrt(vhat) + state.eps)
-                         + state.weight_decay * p.data)).astype(p.data.dtype)
+        p.data -= (lr * (mhat / (np.sqrt(vhat) + ADAMW_EPS)
+                         + ADAMW_WEIGHT_DECAY * p.data)).astype(p.data.dtype)
 
 
 class _Params:
@@ -312,8 +313,6 @@ def test_in_place_update_matches_the_reference(optimizer, dtype, tol):
 
 @pytest.mark.parametrize("kwargs", [
     dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-1e-3),
-    dict(weight_decay=float("nan")), dict(weight_decay=-0.1),
-    dict(betas=(1.0, 0.999)), dict(betas=(0.9, -0.1)), dict(eps=0.0),
     dict(optimizer="adam"),
 ])
 def test_train_state_rejects_bad_hyperparameters(kwargs):

@@ -1,5 +1,5 @@
-"""The finite-difference checker itself: accepts correct gradients, flags
-broken ones, and samples coordinates deterministically."""
+"""The finite-difference checker itself: accepts correct gradients and flags
+broken ones."""
 
 import math
 
@@ -36,14 +36,6 @@ def test_flags_a_broken_gradient():
     assert report.max_rel_err > 0.4
 
 
-def test_coordinate_sampling_is_deterministic_and_capped():
-    x = Tensor(np.random.default_rng(1).standard_normal(100), requires_grad=True)
-    r1 = grad_check(lambda t: T.sum(T.sigmoid(t)), x, max_coords=7, seed=3)
-    r2 = grad_check(lambda t: T.sum(T.sigmoid(t)), x, max_coords=7, seed=3)
-    assert r1.checked == r2.checked == 7
-    assert r1.max_rel_err == r2.max_rel_err
-
-
 def test_rejects_non_scalar_objective():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
@@ -59,7 +51,6 @@ def test_report_is_truthy_iff_passed():
 def test_model_suite_flags_a_wrong_backward(monkeypatch):
     # the erf GELU with its backward scaled by 1.01
     def gelu_off_by_one_percent(x):
-        x = T.as_tensor(x)
         erf = np.array([math.erf(v / math.sqrt(2.0)) for v in x.data.ravel().tolist()],
                        dtype=x.data.dtype)
         phi = 0.5 * (1.0 + erf.reshape(x.shape))

@@ -4,6 +4,7 @@ coverage."""
 import hashlib
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,9 @@ def test_input_validation():
         model.forward(Tensor(np.zeros((32, 16, 3), np.float32)))
     with pytest.raises(ValueError):
         model.forward(Tensor(np.zeros((20, 20, 3), np.float32)))
+    # the ops take Tensors only, so an array is refused at the entrance
+    with pytest.raises(ValueError, match="Tensor"):
+        model.forward(np.zeros((32, 32, 3), np.float32))
 
 
 def test_every_parameter_receives_gradient():
@@ -338,6 +342,25 @@ def test_checkpoint_loads_in_place_and_casts_to_the_model_dtype(tmp_path):
         assert (p.data == q.data.astype(np.float32)).all(), name
 
 
+def test_checkpoint_value_beyond_the_model_dtype_is_refused_before_any_write(tmp_path):
+    path = tmp_path / "f64.dtvt"
+    source = cast_model(build_model("toy_grad", seed=3), np.float64)
+    # the last parameter, so every other one would be written before it
+    source.head_lin2.bias.data[0] = 1e300
+    save_checkpoint(source, path)
+    model = build_model("toy_grad", seed=4)
+    before = {name: p.data.copy() for name, p in model.named_params()}
+    with pytest.raises(CheckpointError, match="head.lin2.bias"):
+        load_checkpoint(model, path)
+    # the same without the suite's warning filter, where a bare cast stores inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(CheckpointError, match="head.lin2.bias"):
+            load_checkpoint(model, path)
+    for name, p in model.named_params():
+        assert (p.data == before[name]).all(), name
+
+
 def test_write_tensors_stores_little_endian_from_any_layout(tmp_path):
     rng = np.random.default_rng(5)
     native = rng.standard_normal((4, 6)).astype(np.float32)
@@ -431,13 +454,13 @@ def healthy_blobs(tmp_path_factory):
     a small dataset."""
     out = tmp_path_factory.mktemp("healthy")
     state = train_toy(preset("toy_grad"), gen_synthetic(seed=0, n=4, classes=4),
-                      steps=1, lr=1e-3, micro_batch=2)
+                      steps=1, lr=1e-3)
     save_state(state, out / "state.dtvt")
     save_dataset(gen_synthetic(seed=0, n=4, classes=4, side=8), out / "data.dtvt")
     return {kind: (out / f"{kind}.dtvt").read_bytes() for kind in ("state", "data")}
 
 
-_LOADERS = {"state": lambda path: load_state(path, preset("toy_grad"), lr=1e-3),
+_LOADERS = {"state": lambda path: load_state(path, preset("toy_grad")),
             "data": load_dataset}
 
 

@@ -41,7 +41,7 @@ def naive_conv2d(x, w, bias, stride, pad, groups):
                         for ic in range(cig):
                             s += float(xp[i * stride + ki, j * stride + kj, g * cig + ic]) \
                                 * float(w[ki, kj, ic, co])
-                out[i, j, co] = s + (0.0 if bias is None else float(bias[co]))
+                out[i, j, co] = s + float(bias[co])
     return out
 
 
@@ -86,8 +86,8 @@ def test_conv2d_matches_naive_oracle(dtype):
                       int(rng.choice([1, 2])), int(rng.choice([0, 1])), 1))
     # depthwise cases, and one wider dense one
     cases += [(6, 6, 4, 4, 3, 1, 1, 4), (5, 7, 4, 4, 3, 1, 1, 4),
-              (8, 8, 6, 6, 3, 2, 1, 6), (6, 6, 4, 8, 3, 1, 0, 1),
-              (7, 7, 3, 3, 5, 1, 2, 3), (9, 9, 2, 2, 3, 2, 1, 2)]
+              (8, 8, 6, 6, 3, 1, 1, 6), (6, 6, 4, 8, 3, 1, 0, 1),
+              (7, 7, 3, 3, 5, 1, 2, 3), (9, 9, 2, 2, 3, 1, 1, 2)]
     assert len(cases) >= 20
     for h, w, cin, cout, k, stride, pad, g in cases:
         # scaled so outputs stay O(1); the 1e-6 f32 bound is absolute
@@ -105,7 +105,15 @@ def test_conv2d_matches_naive_oracle(dtype):
 def test_conv2d_rejects_groupings_other_than_dense_and_depthwise():
     x = Tensor(np.zeros((5, 5, 4)))
     with pytest.raises(ValueError, match="depthwise"):
-        T.conv2d(x, Tensor(np.zeros((3, 3, 2, 4))), groups=2)
+        T.conv2d(x, Tensor(np.zeros((3, 3, 2, 4))), Tensor(np.zeros(4)), groups=2)
+
+
+def test_conv2d_rejects_a_strided_depthwise_conv():
+    x = Tensor(np.zeros((6, 6, 4)))
+    w, b = Tensor(np.zeros((3, 3, 1, 4))), Tensor(np.zeros(4))
+    with pytest.raises(ValueError, match="stride 1"):
+        T.conv2d(x, w, b, stride=2, padding=1, groups=4)
+    assert T.conv2d(x, w, b, padding=1, groups=4).shape == (6, 6, 4)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -278,8 +286,9 @@ def test_ops_are_deterministic():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((8, 8, 3)).astype(np.float32)
     w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-    a = T.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
-    b = T.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
+    bias = rng.standard_normal(4).astype(np.float32)
+    a = T.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride=2, padding=1).data
+    b = T.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride=2, padding=1).data
     assert (a == b).all()
 
 
@@ -287,7 +296,7 @@ def test_mac_counter_counts_matmul_and_conv():
     with T.count_macs() as counter:
         T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))))
         T.conv2d(Tensor(np.zeros((6, 6, 2))), Tensor(np.zeros((3, 3, 2, 4))),
-                 padding=1)
+                 Tensor(np.zeros(4)), padding=1)
     assert counter.total == 3 * 4 * 5 + 6 * 6 * 9 * 2 * 4
 
 
