@@ -191,23 +191,56 @@ def gradcheck_model(max_coords=16, preset_name="toy"):
     """Full toy model in f64 (weights from seed 5, class label 1): loss
     gradient wrt the input image and a sampled set of at most `max_coords`
     coordinates of representative parameter tensors, against central finite
-    differences. `preset_name` is a preset name or a `ModelConfig`."""
+    differences. `preset_name` is a preset name or a `ModelConfig`.
+
+    The analytic pass runs the stem, the trunk and the head once and keeps
+    the input state of every trunk step. A probe then reruns only what its
+    tensor can change: a parameter of a trunk step reruns from the first
+    step whose parameters include it (matched by identity) through the
+    head, from that step's kept input; a head parameter reruns the head
+    alone; the image, the stem and the initial global tokens rerun the full
+    `Model.forward`. Each rerun step sees the same inputs as in a full
+    forward, so every report is the one a full forward per probe gives."""
     from .train import cross_entropy
     rng = np.random.default_rng(7)
     cfg = preset(preset_name) if isinstance(preset_name, str) else preset_name
     model = cast_model(build_model(cfg, seed=5), np.float64)
     res = model.cfg.input_resolution
     image = Tensor(rng.standard_normal((res, res, 3)), requires_grad=True)
+    trunk = model.trunk()
 
     def loss_value():
         logits, _ = model.forward(image, want_activations=False)
         return cross_entropy(logits, 1)
 
-    # one analytic backward pass gives gradients for the image and all params
+    def resume(k):
+        """The loss from trunk step k on (the head alone when k is
+        len(trunk)), given the kept input state of step k."""
+        x, g = states[k]
+        for _, step in trunk[k:]:
+            x, g, _ = step(x, g)
+        return cross_entropy(model.head(x), 1)
+
+    # one analytic backward pass gives gradients for the image and all
+    # params; it keeps the input state of each trunk step, then the head's
+    states = []
     tape = GradTape()
     with tape:
-        loss = loss_value()
+        x, g = model.stem(image), model.g_init
+        for _, step in trunk:
+            states.append((x, g))
+            x, g, _ = step(x, g)
+        states.append((x, g))
+        loss = cross_entropy(model.head(x), 1)
     T.backward(tape, loss)
+
+    resume_at = {}  # id of a parameter -> the trunk index its probes rerun from
+    for k, (_, step) in enumerate(trunk):
+        for _, p in step.named_params():
+            resume_at.setdefault(id(p), k)
+    for layer in (model.head_norm, model.head_lin1, model.head_lin2):
+        for _, p in layer.named_params():
+            resume_at[id(p)] = len(trunk)
 
     params = model.param_dict()
     targets = [("model.input", image)]
@@ -223,5 +256,7 @@ def gradcheck_model(max_coords=16, preset_name="toy"):
         n = flat.size
         coords = (sampler.choice(n, size=max_coords, replace=False)
                   if n > max_coords else np.arange(n))
-        results.append((name, central_differences(loss_value, flat, analytic, coords)))
+        k = resume_at.get(id(t))
+        value = loss_value if k is None else lambda k=k: resume(k)
+        results.append((name, central_differences(value, flat, analytic, coords)))
     return results

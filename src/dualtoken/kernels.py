@@ -10,17 +10,18 @@ per-tap temporary.
   itself, with no copy), so the forward is one GEMM against the weights as
   a (kh*kw*Cin) x Cout matrix. The backward is two GEMMs, dW = cols^T dy
   and dcols = dy W^T, then one strided in-place add per tap into dx.
-- Depthwise convolutions (groups == Cin == Cout) are stride 1; `tensor.conv2d`
-  rejects any other stride. The forward is one `np.einsum` over a window
-  view of the input rows flattened to W*C, so that each output row is a run
-  of Wo*C contiguous elements. dW contracts the (Ho, Wo, C, kh, kw) window
-  view with dy. dx is the full correlation of dy, padded by the kernel
-  extent, with the flipped taps: the forward's contraction again.
+- Depthwise convolutions (groups == Cin == Cout) are stride 1; both kernels,
+  like `tensor.conv2d`, raise `ValueError` on any other stride. The forward
+  is one `np.einsum` over a window view of the input rows flattened to W*C,
+  so that each output row is a run of Wo*C contiguous elements. dW
+  contracts the (Ho, Wo, C, kh, kw) window view with dy. dx is the full
+  correlation of dy, padded by the kernel extent, with the flipped taps:
+  the forward's contraction again.
 
 Layout conventions: feature maps are H x W x C (channel-last), weights are
 kh x kw x (Cin/groups) x Cout. Inputs arrive already padded; `stride` and
-`groups` are plain ints, and `stride` is 1 whenever `groups` is not. Outputs
-keep the input dtype. The backward skips dx when asked to (the image
+`groups` are plain ints, and `stride` must be 1 whenever `groups` is not.
+Outputs keep the input dtype. The backward skips dx when asked to (the image
 entering the stem needs none).
 """
 
@@ -77,10 +78,16 @@ def _depthwise(xp, taps):
     return np.einsum("hlkj,klj->hj", rows, tiled.reshape(kh, kw, wo * c)).reshape(-1, wo, c)
 
 
+def _check_depthwise_stride(stride):
+    if stride != 1:
+        raise ValueError(f"a depthwise conv is stride 1, got stride={stride}")
+
+
 def conv_forward(xp, w, stride, groups):
     xp = np.ascontiguousarray(xp)
     kh, kw, _, cout = w.shape
     if groups != 1:
+        _check_depthwise_stride(stride)
         return _depthwise(xp, w[:, :, 0, :])
     ho = (xp.shape[0] - kh) // stride + 1
     wo = (xp.shape[1] - kw) // stride + 1
@@ -95,6 +102,7 @@ def conv_backward(xp, w, dy, need_dx, stride, groups):
     kh, kw, _, cout = w.shape
     ho, wo = dy.shape[:2]
     if groups != 1:
+        _check_depthwise_stride(stride)
         dw = np.einsum("hwckl,hwc->klc", _windows(xp, kh, kw, 1), dy)[:, :, None, :]
         if not need_dx:
             return None, dw

@@ -208,6 +208,22 @@ class MergePatch:
         yield from prefixed("proj", self.proj.named_params())
 
 
+class StageTransition:
+    """The trunk step between two stages: a merge-patch on the map and a
+    bias-free per-token linear on the global tokens."""
+
+    def __init__(self, rng, cin, cout):
+        self.merge = MergePatch(rng, cin, cout)
+        self.proj = Linear(rng, cin, cout, bias=False)
+
+    def __call__(self, x, g):
+        return self.merge(x), self.proj(g), None
+
+    def named_params(self):
+        yield from prefixed("merge", self.merge.named_params())
+        yield from prefixed("proj", self.proj.named_params())
+
+
 class Model:
     def __init__(self, rng, cfg):
         self.cfg = cfg
@@ -217,14 +233,11 @@ class Model:
         # learnable initial global tokens
         self.g_init = init_params(rng, (n_g, c1), "trunc_normal")
         self.stages = []   # list of list of DualTokenBlock
-        self.merges = []
-        self.g_projs = []  # bias-free per-token linear at stage boundaries
+        self.transitions = []  # the StageTransition into stages 2 and 3
         for si in range(3):
             if si > 0:
-                cin = cfg.stages[si - 1].channels
-                cout = cfg.stages[si].channels
-                self.merges.append(MergePatch(rng, cin, cout))
-                self.g_projs.append(Linear(rng, cin, cout, bias=False))
+                self.transitions.append(StageTransition(
+                    rng, cfg.stages[si - 1].channels, cfg.stages[si].channels))
             bcfg = cfg.block_config(si)
             self.stages.append([DualTokenBlock(rng, bcfg)
                                 for _ in range(cfg.stages[si].blocks)])
@@ -234,7 +247,8 @@ class Model:
         self.head_lin2 = Linear(rng, cfg.head_hidden, cfg.num_classes)
 
     def forward(self, images, want_activations=True):
-        """Classify one S x S x 3 image.
+        """Classify one S x S x 3 image: `stem`, then every step of `trunk()`
+        in order, then `head`.
 
         Returns (logits, attention): the `num_classes` logits, and a dict in
         block order from each block's path ("stage1.block0", ...) to its
@@ -242,7 +256,6 @@ class Model:
         N image tokens and n_g global tokens. The dict is empty when
         `want_activations` is False.
         """
-        cfg = self.cfg
         if not isinstance(images, T.Tensor):
             raise ValueError(f"expected the image as a Tensor, got {type(images).__name__}")
         if (len(images.shape) != 3 or images.shape[0] != images.shape[1]
@@ -251,32 +264,49 @@ class Model:
         s = images.shape[0]
         if s % 32 != 0:
             raise ValueError(f"input side {s} not divisible by 32")
-        x = self.stem(images)
-        g = self.g_init
+        x, g = self.stem(images), self.g_init
         attention = {}
+        for path, step in self.trunk():
+            x, g, attn = step(x, g)
+            if want_activations and attn is not None:
+                attention[path] = attn
+        return self.head(x), attention
+
+    def trunk(self):
+        """The ordered (path, step) pairs between the stem and the head: each
+        stage's blocks ("stage1.block0", ...), with the `StageTransition`
+        ("merge1", "merge2") before stages 2 and 3. A step maps the state
+        (map, global tokens) to (map, global tokens, attention), where the
+        attention is None for a transition. A step reads only its own
+        parameters and its input state, so a finite-difference probe of a
+        parameter of step k reruns steps k onward and the head from the
+        input state that step k had (`checks.gradcheck_model`)."""
+        steps = []
         for si, blocks in enumerate(self.stages):
             if si > 0:
-                x = self.merges[si - 1](x)
-                g = self.g_projs[si - 1](g)
-            for bi, block in enumerate(blocks):
-                x, g, attn = block(x, g)
-                if want_activations:
-                    attention[f"stage{si + 1}.block{bi}"] = attn
+                steps.append((f"merge{si}", self.transitions[si - 1]))
+            steps += [(f"stage{si + 1}.block{bi}", block) for bi, block in enumerate(blocks)]
+        return steps
+
+    def head(self, x):
+        """The logits of the last stage's h x w x C map: LN, mean over the
+        tokens, linear, GELU, linear. It reads no state but `x`, so a probe of
+        a head parameter reruns the head alone. `head_norm` and `head_lin2`
+        are looked up at each call: a tracer may stand in for them."""
         h, w, c = x.shape
         tokens = T.reshape(x, (h * w, c))
         pooled = T.mean(self.head_norm(tokens), axis=0, keepdims=True)
         y = T.gelu(self.head_lin1(pooled))
-        logits = T.reshape(self.head_lin2(y), (cfg.num_classes,))
-        return logits, attention
+        return T.reshape(self.head_lin2(y), (self.cfg.num_classes,))
 
     def named_params(self):
         yield from prefixed("stem", self.stem.named_params())
         yield "global_tokens.init", self.g_init
-        for i, proj in enumerate(self.g_projs):
-            yield from prefixed(f"global_tokens.proj{i}", proj.named_params())
+        for i, t in enumerate(self.transitions):
+            yield from prefixed(f"global_tokens.proj{i}", t.proj.named_params())
         for si, blocks in enumerate(self.stages):
             if si > 0:
-                yield from prefixed(f"merge{si}", self.merges[si - 1].named_params())
+                yield from prefixed(f"merge{si}", self.transitions[si - 1].merge.named_params())
             for bi, block in enumerate(blocks):
                 yield from prefixed(f"stage{si + 1}.block{bi}", block.named_params())
         yield from prefixed("head.norm", self.head_norm.named_params())

@@ -160,15 +160,20 @@ def _variant(name, **overrides):
     return cfg
 
 
-def test_criterion_7_ablation_parity():
-    start = time.time()
-    variants = [
+def criterion_7_variants():
+    """The 11 toy ablation variants of criterion 7, freshly built."""
+    return [
         _variant("window2", local_kind="window_msa", window=2),
         _variant("mix_mlp", mlp_kind="mix"),
         _variant("one_step", ds_kind="one_step"),
         _variant("normal_tokens", global_mode="normal_msa"),
         _variant("posaware_msa", global_mode="position_aware_msa"),
     ] + [_variant(f"grid{g}", token_grid=g) for g in range(3, 9)]
+
+
+def test_criterion_7_ablation_parity():
+    start = time.time()
+    variants = criterion_7_variants()
     problems = []
     rng = np.random.default_rng(70)
     for cfg in variants:

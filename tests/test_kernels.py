@@ -147,3 +147,15 @@ def test_conv2d_computes_no_gradient_for_an_input_without_one(monkeypatch, group
         loss = T.sum(T.conv2d(x, w2, b, stride=stride, padding=1, groups=groups))
     T.backward(tape, loss)
     assert np.array_equal(w.grad, w2.grad) and x.grad.shape == x.shape
+
+
+def test_kernels_refuse_a_strided_depthwise_conv():
+    rng = np.random.default_rng(27)
+    xp = rng.standard_normal((9, 9, 4))
+    w = rng.standard_normal((3, 3, 1, 4))
+    dy = rng.standard_normal((4, 4, 4))
+    with pytest.raises(ValueError, match="stride=2"):
+        kernels.conv_forward(xp, w, 2, 4)
+    for need_dx in (True, False):
+        with pytest.raises(ValueError, match="stride=2"):
+            kernels.conv_backward(xp, w, dy, need_dx, 2, 4)
