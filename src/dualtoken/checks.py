@@ -187,20 +187,10 @@ MODEL_CHECK_PARAMS = (
 )
 
 
-def gradcheck_model(max_coords=16, preset_name="toy"):
-    """Full toy model in f64 (weights from seed 5, class label 1): loss
-    gradient wrt the input image and a sampled set of at most `max_coords`
-    coordinates of representative parameter tensors, against central finite
-    differences. `preset_name` is a preset name or a `ModelConfig`.
-
-    The analytic pass runs the stem, the trunk and the head once and keeps
-    the input state of every trunk step. A probe then reruns only what its
-    tensor can change: a parameter of a trunk step reruns from the first
-    step whose parameters include it (matched by identity) through the
-    head, from that step's kept input; a head parameter reruns the head
-    alone; the image, the stem and the initial global tokens rerun the full
-    `Model.forward`. Each rerun step sees the same inputs as in a full
-    forward, so every report is the one a full forward per probe gives."""
+def _model_under_check(preset_name):
+    """The f64 model of `gradcheck_model` and its image, after one analytic
+    backward pass of the loss, and `loss_from(t)`: a closure that recomputes
+    the loss after a change to tensor t, rerunning only what t can change."""
     from .train import cross_entropy
     rng = np.random.default_rng(7)
     cfg = preset(preset_name) if isinstance(preset_name, str) else preset_name
@@ -242,6 +232,28 @@ def gradcheck_model(max_coords=16, preset_name="toy"):
         for _, p in layer.named_params():
             resume_at[id(p)] = len(trunk)
 
+    def loss_from(t):
+        k = resume_at.get(id(t))
+        return loss_value if k is None else lambda: resume(k)
+
+    return model, image, loss_from
+
+
+def gradcheck_model(max_coords=16, preset_name="toy"):
+    """Full toy model in f64 (weights from seed 5, class label 1): loss
+    gradient wrt the input image and a sampled set of at most `max_coords`
+    coordinates of representative parameter tensors, against central finite
+    differences. `preset_name` is a preset name or a `ModelConfig`.
+
+    The analytic pass runs the stem, the trunk and the head once and keeps
+    the input state of every trunk step. A probe then reruns only what its
+    tensor can change: a parameter of a trunk step reruns from the first
+    step whose parameters include it (matched by identity) through the
+    head, from that step's kept input; a head parameter reruns the head
+    alone; the image, the stem and the initial global tokens rerun the full
+    `Model.forward`. Each rerun step sees the same inputs as in a full
+    forward, so every report is the one a full forward per probe gives."""
+    model, image, loss_from = _model_under_check(preset_name)
     params = model.param_dict()
     targets = [("model.input", image)]
     for name in MODEL_CHECK_PARAMS:
@@ -256,7 +268,5 @@ def gradcheck_model(max_coords=16, preset_name="toy"):
         n = flat.size
         coords = (sampler.choice(n, size=max_coords, replace=False)
                   if n > max_coords else np.arange(n))
-        k = resume_at.get(id(t))
-        value = loss_value if k is None else lambda k=k: resume(k)
-        results.append((name, central_differences(value, flat, analytic, coords)))
+        results.append((name, central_differences(loss_from(t), flat, analytic, coords)))
     return results

@@ -9,6 +9,15 @@ import numpy as np
 from .tensor import GradTape, Tensor, backward
 
 GRADCHECK_TOL = 1e-4  # the largest relative error a gradient check passes
+# Floors under the denominator of the relative error, so that a derivative
+# near 0 is judged by its absolute error. A coordinate's is 1e-2. Along unit
+# directions, the loss derivatives of the f64 `toy` model and the 11
+# criterion-7 variants of `gradcheck_model` run from 0 to 0.58 (median
+# 1.6e-5); their absolute errors at step 1e-5 reach 1.0e-7. Under a floor of
+# 1e-6 the worst relative error is 5.1e-5, while 1e-7 fails 170 of the 1,692
+# tensors, and 1e-2 would pass a 1% error in any derivative below 1e-4.
+_COORDINATE_FLOOR = 1e-2
+_DIRECTION_FLOOR = 1e-6
 
 
 @dataclass
@@ -39,26 +48,36 @@ def grad_check(f, x):
                                analytic, np.arange(flat.size))
 
 
-def central_differences(value, flat, analytic, coords):
-    """Probe each coordinate i of `flat` (a view into the inputs of the
-    scalar-valued closure `value`) with step 1e-5 * max(1, |flat[i]|) and
-    compare the central difference against `analytic` (same size as flat);
-    the check passes when no relative error exceeds `GRADCHECK_TOL`. Every
-    coordinate is restored after its probe."""
+def central_differences(value, flat, analytic, directions):
+    """Probe the scalar-valued closure `value` along each direction of
+    `directions` and compare the central difference against `analytic`, the
+    gradient with respect to `flat` (a view into the inputs of `value`).
+
+    A direction is a coordinate i, the unit vector e_i, or a unit vector of
+    flat's size. Along v the step is h = 1e-5 * max(1, |<flat, v>|) (for e_i,
+    1e-5 * max(1, |flat[i]|)) and the analytic value is <analytic, v>. The
+    relative error divides by the larger magnitude, floored at
+    `_COORDINATE_FLOOR` for a coordinate and at `_DIRECTION_FLOOR` for a unit
+    vector; the check passes when no error exceeds `GRADCHECK_TOL`. `flat`
+    is restored after every probe."""
     aflat = analytic.reshape(-1)
     max_rel = 0.0
-    for i in coords:
-        old = flat[i]
-        h = 1e-5 * max(1.0, abs(old))
-        flat[i] = old + h
+    for d in directions:
+        if np.ndim(d) == 0:
+            idx, v, floor = d, 1.0, _COORDINATE_FLOOR
+        else:
+            idx, v, floor = slice(None), d, _DIRECTION_FLOOR
+        old = flat[idx].copy()
+        h = 1e-5 * max(1.0, abs(np.dot(old, v)))
+        flat[idx] = old + h * v
         fp = value().item()
-        flat[i] = old - h
+        flat[idx] = old - h * v
         fm = value().item()
-        flat[i] = old
+        flat[idx] = old
         num = (fp - fm) / (2.0 * h)
-        a = aflat[i]
-        rel = abs(a - num) / max(abs(a), abs(num), 1e-2)
+        a = np.dot(aflat[idx], v)
+        rel = abs(a - num) / max(abs(a), abs(num), floor)
         if rel > max_rel:
             max_rel = rel
     return GradCheckReport(max_rel_err=float(max_rel),
-                           passed=bool(max_rel <= GRADCHECK_TOL), checked=len(coords))
+                           passed=bool(max_rel <= GRADCHECK_TOL), checked=len(directions))

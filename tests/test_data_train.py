@@ -1,5 +1,7 @@
 """Synthetic data generation and the toy training loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -271,9 +273,15 @@ class _Params:
     """Stands in for a model: the optimizer needs only `named_params`."""
 
     def __init__(self, rng, dtype):
-        # one shape under a block, one of exactly two blocks, and one larger
-        # than a block whose size is not a multiple of it
-        shapes = {"small": (5, 3), "two_blocks": (2, 32768), "ragged": (300, 250)}
+        # shapes under a block, one of exactly two blocks, one of exactly one
+        # block, and one larger than a block whose size is not a multiple of
+        # it; the small ones, 1 to 32,767 elements, add up to more than four
+        # blocks and sit between the large ones
+        shapes = {"small": (5, 3), "two_blocks": (2, 32768)}
+        shapes.update({f"tiny{i}": (i + 1, 1000 + 97 * i) for i in range(6)})
+        shapes.update({"ragged": (300, 250), "one": (1,)})
+        shapes.update({f"tiny{i}": (i + 1, 1000 + 97 * i) for i in range(6, 12)})
+        shapes.update({"just_under": (32767,), "one_block": (32768,)})
         self.params = {n: Tensor(rng.standard_normal(s).astype(dtype))
                        for n, s in shapes.items()}
 
@@ -331,3 +339,96 @@ def test_non_finite_parameters_raise_training_diverged():
     with pytest.raises(TrainingDiverged) as info:
         train_step(state, grad_dataset(n=8))
     assert info.value.step == 0
+
+
+# -- pinned results of three optimizer steps -----------------------------------
+
+def _digests(state):
+    """sha256 of the parameters, the first moments and the second moments,
+    each over the name, dtype, shape and bytes of every tensor in parameter
+    order."""
+    names = [name for name, _ in state.model.named_params()]
+    arrays = ({n: p.data for n, p in state.model.named_params()},
+              {n: state.moments[n][0] for n in names},
+              {n: state.moments[n][1] for n in names})
+    out = []
+    for named in arrays:
+        h = hashlib.sha256()
+        for name in names:
+            a = named[name]
+            h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+            h.update(a.tobytes())
+        out.append(h.hexdigest())
+    return out
+
+
+def _params_steps(dtype, replace=False):
+    """Three `_apply_update`s on the `_Params` stand-in with seeded
+    gradients; with `replace`, the moments are replaced from outside after
+    the first step (the whole dict) and the second (one entry)."""
+    micro_batch = 4
+    state = TrainState(model=_Params(np.random.default_rng(0), dtype),
+                       optimizer="adamw", lr=1e-2)
+    rng = np.random.default_rng(1)
+    for step in range(3):
+        for _, p in state.model.named_params():
+            p.grad = (micro_batch * rng.standard_normal(p.shape)).astype(dtype)
+        _apply_update(state, micro_batch)
+        state.step += 1
+        if replace and step == 0:
+            state.moments = {n: (0.5 * m, np.zeros_like(v))
+                             for n, (m, v) in state.moments.items()}
+        if replace and step == 1:
+            for name in ("tiny3", "ragged"):
+                m, v = state.moments[name]
+                state.moments[name] = (np.full_like(m, 0.25), 2.0 * v)
+    return state
+
+
+def _toy_steps(tmp_path, resume=False):
+    """Three toy `train_step`s; with `resume`, the state is saved after the
+    first and the last two run on the state `load_state` reads back."""
+    ds = gen_synthetic(seed=5, n=16)
+    state = TrainState(model=build_model("toy", seed=3), optimizer="adamw", lr=1e-3)
+    for step in range(3):
+        train_step(state, ds)
+        if resume and step == 0:
+            path = tmp_path / "state.dtvt"
+            save_state(state, path)
+            state = load_state(path, "toy", seed=3)
+    return state
+
+
+_TRAINING_CASES = {
+    "toy": lambda tmp_path: _toy_steps(tmp_path),
+    "toy_resumed": lambda tmp_path: _toy_steps(tmp_path, resume=True),
+    "params_f32": lambda tmp_path: _params_steps(np.float32),
+    "params_f64": lambda tmp_path: _params_steps(np.float64),
+    "params_f32_moments_replaced": lambda tmp_path: _params_steps(np.float32, replace=True),
+}
+
+# (parameters, first moments, second moments) of each case, from the
+# optimizer that updated every tensor on its own; a resumed run is bitwise
+# the straight one
+_TOY_DIGESTS = ["d28e30705e559c3d1e8ccd3e7671ef205b4cb98feac9d8156c93f43a87212a71",
+                "29beeb8c984ec8bb5ca7594f4ca905445e00310c90a76de45ed104cfd2a34c6c",
+                "26df082bf7a69698228a9ce2306ab0e01a1e5aa24ae887e6751572e5b0cd09fe"]
+_TRAINING_DIGESTS = {
+    "toy": _TOY_DIGESTS,
+    "toy_resumed": _TOY_DIGESTS,
+    "params_f32": ["f06cb19e2b1c3d2bd7d83c2012ea9021491889b3969b674c3bc7e70f5f8f70f7",
+                   "b5035cf75e7c9d37c760de559ca779ac0526c8bdba612125620eeda38288e4d4",
+                   "394f8b0e81d7ee5e0f3513747d4f6203d47ae04aaaf6c2b3b4c6fe822c18bd1e"],
+    "params_f64": ["4338928edb7e212c35c3b598f11a92560db6e788bd82b8967196fd2fbc48196e",
+                   "43e892d417a9b3eeb3847bc0533f755c8b5c4f05fcd12dfc8a73393e5fa8bfcf",
+                   "ad9077b37a299c9ce9475ca1395fe2474c256f9dddac2a929ed4982bba06e47d"],
+    "params_f32_moments_replaced": [
+        "66a91eb9350ab7fdfcf2ec295669e2d9e7a634cddc1a9acec05fb2e03a44a7e4",
+        "91a0684ad05a4328172459a026e44362df60b5f1ff52e019cc6569329064ebc7",
+        "6a9b4ab06bfe3c9388699b157439dfd9d495e80a095dad28846aebe716b18815"],
+}
+
+
+@pytest.mark.parametrize("case", list(_TRAINING_CASES))
+def test_three_steps_match_the_pinned_digests(tmp_path, case):
+    assert _digests(_TRAINING_CASES[case](tmp_path)) == _TRAINING_DIGESTS[case]

@@ -1,7 +1,7 @@
 """The finite-difference checker itself: accepts correct gradients and flags
-broken ones; the gradients that no suite probes; and the model suite's
-probes, which rerun only the trunk steps after the probed tensor, against a
-full forward per probe."""
+broken ones; the gradients that no suite probes; the model suite's probes,
+which rerun only the trunk steps after the probed tensor, against a full
+forward per probe; and one directional probe of every tensor of the model."""
 
 import math
 from collections import Counter
@@ -230,3 +230,24 @@ def test_resuming_twice_from_one_kept_state_gives_the_same_loss():
         assert resume(k) == resume(k) == full, k
     for (x, g), (xd, gd) in zip(states, kept):
         assert np.array_equal(x.data, xd) and np.array_equal(g.data, gd)
+
+
+# -- one directional probe of every tensor ------------------------------------
+
+@pytest.mark.parametrize("cfg", [preset("toy")] + criterion_7_variants(),
+                         ids=lambda cfg: cfg.name)
+def test_every_tensor_passes_a_directional_probe(cfg):
+    # the image and every parameter tensor, each along its own seeded unit
+    # direction, rerunning from the trunk step that owns the tensor
+    model, image, loss_from = checks._model_under_check(cfg)
+    rng = np.random.default_rng(13)
+    failed = []
+    for name, t in [("input", image)] + list(model.named_params()):
+        v = rng.standard_normal(t.size)
+        v /= np.linalg.norm(v)
+        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
+        report = central_differences(loss_from(t), t.data.reshape(-1), analytic, [v])
+        assert report.checked == 1
+        if not report.passed:
+            failed.append(f"{name}: {report.max_rel_err:.2e}")
+    assert not failed
