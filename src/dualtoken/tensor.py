@@ -151,12 +151,27 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _accum(t, g):
-    g = _unbroadcast(np.asarray(g, dtype=t.data.dtype), t.data.shape)
+def _accum(t, g, owned=False):
+    """Add the gradient g into t.grad.
+
+    Every .grad is C-contiguous, writable and its tensor's alone: no other
+    .grad and no array a closure saved shares its memory. So a closure owns
+    the output gradient it receives, and may write to it. The first gradient
+    a tensor receives is stored, not added, and g itself is stored only when
+    the call site owns it (`owned`): a fresh, C-contiguous, writable array
+    that it gives to no other input. Any other g is copied: a read-only
+    broadcast view (the backward of `sum`), the one array that `add` gives
+    both inputs, and slices and transposes of an output gradient. A g that
+    is reduced to t's shape or cast to its dtype is a fresh array."""
+    if g.shape != t.data.shape or g.dtype != t.data.dtype:
+        reduced = _unbroadcast(g.astype(t.data.dtype, copy=False), t.data.shape)
+        owned = owned or not np.may_share_memory(reduced, g)
+        g = reduced
     if t.grad is None:
-        # an owned, writable copy: g may be a read-only broadcast view or the
-        # very array another input receives
-        t.grad = np.array(g, order="C")
+        if owned and g.flags.c_contiguous and g.flags.writeable:
+            t.grad = g
+        else:
+            t.grad = np.array(g, order="C")
     else:
         t.grad += g
 
@@ -217,9 +232,10 @@ def add(a, b):
     if _trace(a, b):
         def bwd(g, a=a, b=b):
             if a.requires_grad:
-                _accum(a, g)
+                _accum(a, g, True)
             if b.requires_grad:
-                _accum(b, g)
+                # a may have kept g as its gradient
+                _accum(b, g, not a.requires_grad)
         _emit(out, bwd)
     return out
 
@@ -229,9 +245,9 @@ def sub(a, b):
     if _trace(a, b):
         def bwd(g, a=a, b=b):
             if a.requires_grad:
-                _accum(a, g)
+                _accum(a, g, True)
             if b.requires_grad:
-                _accum(b, -g)
+                _accum(b, -g, True)
         _emit(out, bwd)
     return out
 
@@ -241,9 +257,9 @@ def mul(a, b):
     if _trace(a, b):
         def bwd(g, a=a, b=b):
             if a.requires_grad:
-                _accum(a, g * b.data)
+                _accum(a, g * b.data, True)
             if b.requires_grad:
-                _accum(b, g * a.data)
+                _accum(b, g * a.data, True)
         _emit(out, bwd)
     return out
 
@@ -253,7 +269,7 @@ def scale(a, s):
     out = Tensor(a.data * s)
     if _trace(a):
         def bwd(g, a=a, s=s):
-            _accum(a, g * s)
+            _accum(a, g * s, True)
         _emit(out, bwd)
     return out
 
@@ -272,7 +288,7 @@ def _phi_rational_f32(x):
         p *= z2
     p += _ERF_NUM[-1]
     p *= z
-    q = z2 * _ERF_DEN[0]
+    q = np.multiply(z2, _ERF_DEN[0], out=z)
     for c in _ERF_DEN[1:-1]:
         q += c
         q *= z2
@@ -364,7 +380,7 @@ def gelu(x):
             d *= t
             d += phi
             d *= g
-            _accum(x, d)
+            _accum(x, d, True)
         _emit(out, bwd)
     return out
 
@@ -382,7 +398,7 @@ def sigmoid(x):
     out = Tensor(s)
     if _trace(x):
         def bwd(g, x=x, s=s):
-            _accum(x, g * s * (1.0 - s))
+            _accum(x, g * s * (1.0 - s), True)
         _emit(out, bwd)
     return out
 
@@ -403,9 +419,9 @@ def matmul(a, b):
     if _trace(a, b):
         def bwd(g, a=a, b=b):
             if a.requires_grad:
-                _accum(a, g @ b.data.T)
+                _accum(a, g @ b.data.T, True)
             if b.requires_grad:
-                _accum(b, a.data.T @ g)
+                _accum(b, a.data.T @ g, True)
         _emit(out, bwd)
     return out
 
@@ -439,7 +455,9 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (wdt + 2 * pw - kw) // stride + 1
     _count(ho * wo * kh * kw * cig * cout)
-    out = Tensor(kernels.conv_forward(xp, w.data, stride, groups) + bias.data)
+    y = kernels.conv_forward(xp, w.data, stride, groups)
+    y += bias.data
+    out = Tensor(y)
     if _trace(x, w, bias):
         def bwd(g, x=x, w=w, bias=bias, xp=xp, ph=ph, pw=pw, stride=stride, groups=groups):
             g = np.ascontiguousarray(g)
@@ -447,11 +465,12 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
             dxp, dw = kernels.conv_backward(xp, w.data, g, x.requires_grad, stride, groups)
             if x.requires_grad:
                 h, wdt = x.shape[:2]
-                _accum(x, dxp[ph:ph + h, pw:pw + wdt, :])
+                # a padded map's interior is a strided slice, and is copied
+                _accum(x, dxp[ph:ph + h, pw:pw + wdt, :], True)
             if w.requires_grad:
-                _accum(w, dw)
+                _accum(w, dw, True)
             if bias.requires_grad:
-                _accum(bias, g.sum(axis=(0, 1)))
+                _accum(bias, g.sum(axis=(0, 1)), True)
         _emit(out, bwd)
     return out
 
@@ -465,7 +484,7 @@ def avgpool2d(x, k=2):
     if _trace(x):
         def bwd(g, x=x, k=k):
             gx = np.repeat(np.repeat(g, k, axis=0), k, axis=1) / (k * k)
-            _accum(x, gx)
+            _accum(x, gx, True)
         _emit(out, bwd)
     return out
 
@@ -476,23 +495,42 @@ def layernorm(x, gamma, beta):
     if c < 1:
         raise ValueError("layernorm needs at least one channel")
     inv_c = 1.0 / c
-    mu = x.data.sum(axis=-1, keepdims=True) * inv_c
+    # two full-size buffers: xc, which becomes xhat in place, and y, which
+    # holds xc * xc until the output overwrites it
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu *= inv_c
     xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_c
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    y = xc * xc
+    inv = y.sum(axis=-1, keepdims=True)
+    inv *= inv_c
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat = xc
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y)
     if _trace(x, gamma, beta):
         def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv=inv, c=c, inv_c=inv_c):
             if gamma.requires_grad:
-                _accum(gamma, (g * xhat).reshape(-1, c).sum(axis=0))
+                _accum(gamma, (g * xhat).reshape(-1, c).sum(axis=0), True)
             if beta.requires_grad:
-                _accum(beta, g.reshape(-1, c).sum(axis=0))
+                _accum(beta, g.reshape(-1, c).sum(axis=0), True)
             if x.requires_grad:
-                gx = g * gamma.data
-                m1 = gx.sum(axis=-1, keepdims=True) * inv_c
-                m2 = (gx * xhat).sum(axis=-1, keepdims=True) * inv_c
-                _accum(x, (gx - m1 - xhat * m2) * inv)
+                # (g gamma - m1 - xhat m2) * inv, in g and one temporary
+                gx = g
+                gx *= gamma.data
+                m1 = gx.sum(axis=-1, keepdims=True)
+                m1 *= inv_c
+                t = gx * xhat
+                m2 = t.sum(axis=-1, keepdims=True)
+                m2 *= inv_c
+                gx -= m1
+                np.multiply(xhat, m2, out=t)
+                gx -= t
+                gx *= inv
+                _accum(x, gx, True)
         _emit(out, bwd)
     return out
 
@@ -501,14 +539,17 @@ def softmax(x):
     """Row softmax over the last axis, with max-subtraction."""
     if not np.isfinite(x.data).all():
         raise FloatingPointError("softmax received non-finite input")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s)
     if _trace(x):
         def bwd(g, x=x, s=s):
+            # s * (g - dot), in g
             dot = (g * s).sum(axis=-1, keepdims=True)
-            _accum(x, s * (g - dot))
+            g -= dot
+            g *= s
+            _accum(x, g, True)
         _emit(out, bwd)
     return out
 
@@ -544,7 +585,7 @@ def bilinear_resize(x, out_h, out_w):
             dx = np.zeros((h, w, g.shape[2]), dtype=g.dtype)
             np.add.at(dx, r0, dtmp * (1.0 - rfc))
             np.add.at(dx, r1, dtmp * rfc)
-            _accum(x, dx)
+            _accum(x, dx, True)
         _emit(out, bwd)
     return out
 
@@ -557,7 +598,7 @@ def reshape(x, shape):
     out = Tensor(x.data.reshape(shape))
     if _trace(x):
         def bwd(g, x=x):
-            _accum(x, g.reshape(x.data.shape))
+            _accum(x, g.reshape(x.data.shape), True)
         _emit(out, bwd)
     return out
 
@@ -620,6 +661,6 @@ def mean(x, axis=None, keepdims=False):
         def bwd(g, x=x, axis=axis, keepdims=keepdims, n=n):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(g, x.data.shape) / n)
+            _accum(x, np.broadcast_to(g, x.data.shape) / n, True)
         _emit(out, bwd)
     return out

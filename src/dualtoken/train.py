@@ -1,11 +1,17 @@
-"""Toy supervised training: cross-entropy, SGD/AdamW, a deterministic
+"""Toy supervised training: cross-entropy, AdamW, a deterministic
 single-sample accumulation loop, and evaluation.
 
 The optimizer step reads each parameter's accumulated gradient as it is and
 updates the parameter and its AdamW moments in place, in blocks of 32,768
-elements with two scratch buffers per dtype. The 1/micro_batch gradient
-scale, the bias corrections, the learning rate and the decoupled weight
-decay are folded into scalars, so the step makes no full-size temporary."""
+elements. The 1/micro_batch gradient scale, the bias corrections, the
+learning rate and the decoupled weight decay are folded into scalars, so the
+step makes no full-size temporary. A tensor of one block or more is updated
+block by block where it lies. The smaller tensors are updated together: their
+moments are views into one flat buffer per dtype, in parameter order, and
+each run of them that fits in a block has its parameters and gradients
+gathered into block scratch, is updated there against its moments, and has
+its parameters scattered back. The flat buffers stay with the state from step
+to step; a moment pair that a caller puts into `moments` is copied in."""
 
 from __future__ import annotations
 
@@ -43,7 +49,7 @@ def cross_entropy(logits, label):
         def bwd(g, logits=logits, probs=probs, label=int(label)):
             gz = probs.copy()
             gz[label] -= 1.0
-            T._accum(logits, g * gz)
+            T._accum(logits, g * gz, True)
         T._emit(out, bwd)
     return out
 
@@ -56,10 +62,12 @@ class TrainState:
     step: int = 0
     loss_history: list = field(default_factory=list)
     moments: dict = field(default_factory=dict)   # AdamW first/second moments
+    # (key, groups, views) of `_apply_update`'s small tensors, across steps
+    _packed: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "adamw"):
-            raise ValueError(f"optimizer must be sgd or adamw, got {self.optimizer!r}")
+        if self.optimizer != "adamw":
+            raise ValueError(f"optimizer must be adamw, got {self.optimizer!r}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
 
@@ -72,50 +80,109 @@ ADAMW_EPS = 1e-8
 ADAMW_WEIGHT_DECAY = 4e-2
 
 
-def _apply_update(state, micro_batch):
-    """One optimizer step from the accumulated `p.grad` (a sum over
-    `micro_batch` samples) of every parameter, in place."""
-    lr = state.lr
-    params = [(name, p) for name, p in state.model.named_params()
-              if p.grad is not None]
-    if state.optimizer == "sgd":
-        for _, p in params:
-            p.data -= (lr / micro_batch) * p.grad
-        return
+def _apply_update(state, params, micro_batch):
+    """One AdamW step, in place, for every (name, p) of `params` that holds
+    an accumulated `p.grad` (a sum over `micro_batch` samples)."""
+    params = [(name, p) for name, p in params if p.grad is not None]
     b1, b2 = ADAMW_BETAS
     t = state.step + 1
     # the bias corrections, lr, decay and 1/micro_batch folded into scalars:
     # p <- p (1 - lr wd) - lr/bc1 * m / (sqrt(v) / sqrt(bc2) + eps)
-    g1 = (1 - b1) / micro_batch
-    g2 = (1 - b2) / (micro_batch * micro_batch)
-    inv_sqrt_bc2 = 1 / math.sqrt(1 - b2 ** t)
-    step_size = lr / (1 - b1 ** t)
-    decay = 1 - lr * ADAMW_WEIGHT_DECAY
+    scalars = ((1 - b1) / micro_batch,
+               (1 - b2) / (micro_batch * micro_batch),
+               1 / math.sqrt(1 - b2 ** t),
+               state.lr / (1 - b1 ** t),
+               1 - state.lr * ADAMW_WEIGHT_DECAY)
     scratch = {}
+    for _, p in params:
+        if p.data.dtype not in scratch:
+            scratch[p.data.dtype] = [np.empty(_BLOCK, p.data.dtype) for _ in range(4)]
+
+    small = [(name, p) for name, p in params if p.data.size < _BLOCK]
+    key = [(name, p.data.dtype, p.data.shape) for name, p in small]
+    if state._packed is None or state._packed[0] != key:
+        state._packed = (key, *_pack(small))
+    _, groups, views = state._packed
+    for name, pair in views.items():
+        given = state.moments.get(name)
+        if given is not pair:
+            for buf, a in zip(pair, (0, 0) if given is None else given):
+                buf[...] = a
+            state.moments[name] = pair
+    for dt, (m, v, batches) in groups.items():
+        tensors = [p for _, p in small if p.data.dtype == dt]
+        sp, sg, s1, s2 = scratch[dt]
+        for first, last, bounds in batches:
+            a, b = bounds[0], bounds[-1]
+            n = b - a
+            batch = tensors[first:last]
+            np.concatenate([p.data for p in batch], axis=None, out=sp[:n])
+            np.concatenate([p.grad for p in batch], axis=None, out=sg[:n])
+            _adamw(sp[:n], sg[:n], m[a:b], v[a:b], s1[:n], s2[:n], scalars)
+            for p, i, j in zip(batch, bounds, bounds[1:]):
+                p.data[...] = sp[i - a:j - a].reshape(p.data.shape)
+
     for name, p in params:
+        if p.data.size < _BLOCK:
+            continue
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-        dt = p.data.dtype
-        if dt not in scratch:
-            scratch[dt] = (np.empty(_BLOCK, dt), np.empty(_BLOCK, dt))
+        _, _, s1, s2 = scratch[p.data.dtype]
         flat = [_flat(a) for a in (p.data, p.grad, *state.moments[name])]
         for i in range(0, p.data.size, _BLOCK):
             pb, gb, mb, vb = (a[i:i + _BLOCK] for a in flat)
-            s1, s2 = (s[:pb.size] for s in scratch[dt])
-            mb *= b1
-            np.multiply(gb, g1, out=s1)
-            mb += s1
-            vb *= b2
-            np.multiply(gb, gb, out=s1)
-            s1 *= g2
-            vb += s1
-            np.sqrt(vb, out=s1)
-            s1 *= inv_sqrt_bc2
-            s1 += ADAMW_EPS
-            np.divide(mb, s1, out=s2)
-            s2 *= step_size
-            pb *= decay
-            pb -= s2
+            _adamw(pb, gb, mb, vb, s1[:pb.size], s2[:pb.size], scalars)
+
+
+def _adamw(pb, gb, mb, vb, s1, s2, scalars):
+    """The AdamW update of one block, in place: parameters pb, gradients gb
+    and moments mb and vb, with scratch s1 and s2 of the same size."""
+    b1, b2 = ADAMW_BETAS
+    g1, g2, inv_sqrt_bc2, step_size, decay = scalars
+    mb *= b1
+    np.multiply(gb, g1, out=s1)
+    mb += s1
+    vb *= b2
+    np.multiply(gb, gb, out=s1)
+    s1 *= g2
+    vb += s1
+    np.sqrt(vb, out=s1)
+    s1 *= inv_sqrt_bc2
+    s1 += ADAMW_EPS
+    np.divide(mb, s1, out=s2)
+    s2 *= step_size
+    pb *= decay
+    pb -= s2
+
+
+def _pack(small):
+    """Flat moment buffers for the (name, p) pairs of `small`, each under one
+    block, as (groups, views).
+
+    `groups[dt]` is (m, v, batches): the first and second moments of the
+    tensors of dtype dt, one after another in parameter order, and their
+    update batches. A batch (first, last, bounds) covers those tensors first
+    to last - 1, tensor first + k at m[bounds[k]:bounds[k + 1]]; it holds at
+    most one block. `views[name]` is the (m, v) pair of one tensor, shaped
+    like it. The buffers are uninitialised."""
+    members = {}
+    for name, p in small:
+        members.setdefault(p.data.dtype, []).append((name, p.data.shape, p.data.size))
+    groups, views = {}, {}
+    for dt, tensors in members.items():
+        offsets = [0]
+        for _, _, n in tensors:
+            offsets.append(offsets[-1] + n)
+        m, v = np.empty(offsets[-1], dt), np.empty(offsets[-1], dt)
+        batches, first = [], 0
+        for k in range(1, len(tensors) + 1):
+            if k == len(tensors) or offsets[k + 1] - offsets[first] > _BLOCK:
+                batches.append((first, k, offsets[first:k + 1]))
+                first = k
+        for (name, shape, _), a, b in zip(tensors, offsets, offsets[1:]):
+            views[name] = (m[a:b].reshape(shape), v[a:b].reshape(shape))
+        groups[dt] = (m, v, batches)
+    return groups, views
 
 
 def _flat(a):
@@ -130,8 +197,8 @@ def train_step(state, dataset, micro_batch=8):
     consecutive samples (deterministic round-robin order). A non-finite
     value in the forward pass or the loss raises `TrainingDiverged`."""
     model = state.model
-    params = model.param_dict()
-    for p in params.values():
+    params = list(model.named_params())
+    for _, p in params:
         p.zero_grad()
     n = len(dataset)
     total = 0.0
@@ -150,7 +217,7 @@ def train_step(state, dataset, micro_batch=8):
     mean_loss = total / micro_batch
     if not np.isfinite(mean_loss):
         raise TrainingDiverged(state.step)
-    _apply_update(state, micro_batch)
+    _apply_update(state, params, micro_batch)
     state.step += 1
     state.loss_history.append(mean_loss)
     return mean_loss

@@ -20,6 +20,8 @@ from dualtoken.model import (PRESET_NAMES, CheckpointError, ModelConfig,
 from dualtoken.tensor import GradTape, Tensor
 from dualtoken.train import cross_entropy, load_state, save_state, train_toy
 
+from test_acceptance import criterion_7_variants
+
 
 def random_image(side, seed=0):
     rng = np.random.default_rng(seed)
@@ -144,6 +146,64 @@ def test_backward_consumes_the_tape_and_keeps_only_leaf_gradients():
         assert (p.grad is None) == (q.grad is None), name
         if p.grad is not None:
             assert p.grad.dtype == q.grad.dtype and (p.grad == q.grad).all(), name
+
+
+def _gradients(cfg, label=1):
+    """The gradients of one backward pass for the image and every parameter
+    of a model built from `cfg` (seed 0), in f32."""
+    model = build_model(cfg, seed=0)
+    image = random_image(model.cfg.input_resolution, seed=6)
+    image.requires_grad = True
+    tape = GradTape()
+    with tape:
+        logits, _ = model.forward(image, want_activations=False)
+        loss = cross_entropy(logits, label)
+    T.backward(tape, loss)
+    return [("image", image.grad)] + [(n, p.grad) for n, p in model.named_params()]
+
+
+@pytest.mark.parametrize("cfg", [preset("toy")] + criterion_7_variants()
+                         + [preset("dualtoken_t_mix")], ids=lambda cfg: cfg.name)
+def test_handing_gradients_over_matches_copying_them(monkeypatch, cfg):
+    # a gradient handed over while another tensor still writes to it would
+    # differ from the same pass with every first gradient copied
+    handed = _gradients(cfg)
+    accum = T._accum
+    monkeypatch.setattr(T, "_accum", lambda t, g, owned=False: accum(t, g))
+    copied = _gradients(cfg)
+    assert [n for n, _ in handed] == [n for n, _ in copied]
+    for (name, a), (_, b) in zip(handed, copied):
+        assert a is not None and b is not None, name
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_a_toy_backward_copies_only_shared_arrays_slices_and_transposes(monkeypatch):
+    model = build_model("toy", seed=0)
+    tape, loss = _toy_step_tape(model)
+    op = [None]
+
+    def named(fn):
+        def run(g):
+            op[0] = fn.__qualname__.split(".")[0]
+            fn(g)
+        return run
+
+    tape._records = [(out, named(fn)) for out, fn in tape._records]
+    copies = {}
+    accum = T._accum
+
+    def counting(t, g, owned=False):
+        first = t.grad is None
+        accum(t, g, owned)
+        # a gradient reduced to t's shape is a new array, not a copy
+        if first and g.shape == t.data.shape and t.grad is not g:
+            copies[op[0]] = copies.get(op[0], 0) + 1
+
+    monkeypatch.setattr(T, "_accum", counting)
+    T.backward(tape, loss)
+    # add's second input where the first keeps g, concat's slices, the
+    # transposed keys of attention, and the interior of two padded convs
+    assert copies == {"add": 16, "concat": 28, "transpose": 8, "conv2d": 2}
 
 
 def test_backward_peak_memory_stays_near_the_forward_peak():
