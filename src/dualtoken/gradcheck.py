@@ -63,19 +63,22 @@ def central_differences(value, flat, analytic, directions):
     aflat = analytic.reshape(-1)
     max_rel = 0.0
     for d in directions:
-        if np.ndim(d) == 0:
-            idx, v, floor = d, 1.0, _COORDINATE_FLOOR
-        else:
+        # x: flat's component along the direction; a: the analytic value
+        if isinstance(d, np.ndarray):
             idx, v, floor = slice(None), d, _DIRECTION_FLOOR
-        old = flat[idx].copy()
-        h = 1e-5 * max(1.0, abs(np.dot(old, v)))
+            old = flat.copy()
+            x, a = np.dot(old, v), np.dot(aflat, v)
+        else:
+            idx, v, floor = d, 1.0, _COORDINATE_FLOOR
+            old = x = flat[d]
+            a = aflat[d]
+        h = 1e-5 * max(1.0, abs(x))
         flat[idx] = old + h * v
         fp = value().item()
         flat[idx] = old - h * v
         fm = value().item()
         flat[idx] = old
         num = (fp - fm) / (2.0 * h)
-        a = np.dot(aflat[idx], v)
         rel = abs(a - num) / max(abs(a), abs(num), floor)
         if rel > max_rel:
             max_rel = rel

@@ -98,6 +98,8 @@ def _apply_update(state, params, micro_batch):
         if p.data.dtype not in scratch:
             scratch[p.data.dtype] = [np.empty(_BLOCK, p.data.dtype) for _ in range(4)]
 
+    # tensors under one block: batches gathered into scratch, moments in the
+    # flat buffers of `_pack`, which the state keeps while its tensors stay
     small = [(name, p) for name, p in params if p.data.size < _BLOCK]
     key = [(name, p.data.dtype, p.data.shape) for name, p in small]
     if state._packed is None or state._packed[0] != key:
@@ -106,8 +108,9 @@ def _apply_update(state, params, micro_batch):
     for name, pair in views.items():
         given = state.moments.get(name)
         if given is not pair:
-            for buf, a in zip(pair, (0, 0) if given is None else given):
-                buf[...] = a
+            # a pair that a caller put there is copied in; none is zero
+            pair[0][...] = 0 if given is None else given[0]
+            pair[1][...] = 0 if given is None else given[1]
             state.moments[name] = pair
     for dt, (m, v, batches) in groups.items():
         tensors = [p for _, p in small if p.data.dtype == dt]
@@ -122,6 +125,7 @@ def _apply_update(state, params, micro_batch):
             for p, i, j in zip(batch, bounds, bounds[1:]):
                 p.data[...] = sp[i - a:j - a].reshape(p.data.shape)
 
+    # tensors of one block or more: block by block where they lie
     for name, p in params:
         if p.data.size < _BLOCK:
             continue
