@@ -151,7 +151,7 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _accum(t, g, owned=False):
+def _accum(t, g, owned):
     """Add the gradient g into t.grad.
 
     Every .grad is C-contiguous, writable and its tensor's alone: no other
@@ -608,7 +608,7 @@ def transpose(x, axes=None):
     if _trace(x):
         def bwd(g, x=x, axes=axes):
             inv = None if axes is None else np.argsort(axes)
-            _accum(x, g.transpose(inv))
+            _accum(x, g.transpose(inv), False)
         _emit(out, bwd)
     return out
 
@@ -623,7 +623,7 @@ def concat(xs, axis=0):
                 if x.requires_grad:
                     idx = [slice(None)] * g.ndim
                     idx[axis] = slice(a, b)
-                    _accum(x, g[tuple(idx)])
+                    _accum(x, g[tuple(idx)], False)
         _emit(out, bwd)
     return out
 
@@ -649,7 +649,7 @@ def sum(x, axis=None, keepdims=False):  # noqa: A001 - deliberate op name
         def bwd(g, x=x, axis=axis, keepdims=keepdims):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(g, x.data.shape))
+            _accum(x, np.broadcast_to(g, x.data.shape), False)
         _emit(out, bwd)
     return out
 

@@ -93,10 +93,8 @@ def _apply_update(state, params, micro_batch):
                1 / math.sqrt(1 - b2 ** t),
                state.lr / (1 - b1 ** t),
                1 - state.lr * ADAMW_WEIGHT_DECAY)
-    scratch = {}
-    for _, p in params:
-        if p.data.dtype not in scratch:
-            scratch[p.data.dtype] = [np.empty(_BLOCK, p.data.dtype) for _ in range(4)]
+    scratch = {dt: [np.empty(_BLOCK, dt) for _ in range(4)]
+               for dt in {p.data.dtype for _, p in params}}
 
     # tensors under one block: batches gathered into scratch, moments in the
     # flat buffers of `_pack`, which the state keeps while its tensors stay

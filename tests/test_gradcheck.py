@@ -34,7 +34,7 @@ def test_flags_a_broken_gradient():
         out = Tensor(t.data.sum())
         if T._trace(t):
             def bwd(g, t=t):
-                T._accum(t, 2.0 * g * np.ones_like(t.data))
+                T._accum(t, 2.0 * g * np.ones_like(t.data), True)
             T._emit(out, bwd)
         return out
 
@@ -66,7 +66,7 @@ def test_model_suite_flags_a_wrong_backward(monkeypatch):
         if T._trace(x):
             def bwd(g, x=x, phi=phi):
                 pdf = np.exp(-0.5 * x.data * x.data) / np.sqrt(2.0 * np.pi)
-                T._accum(x, 1.01 * g * (phi + x.data * pdf))
+                T._accum(x, 1.01 * g * (phi + x.data * pdf), True)
             T._emit(out, bwd)
         return out
 

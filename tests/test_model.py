@@ -169,7 +169,7 @@ def test_handing_gradients_over_matches_copying_them(monkeypatch, cfg):
     # differ from the same pass with every first gradient copied
     handed = _gradients(cfg)
     accum = T._accum
-    monkeypatch.setattr(T, "_accum", lambda t, g, owned=False: accum(t, g))
+    monkeypatch.setattr(T, "_accum", lambda t, g, owned: accum(t, g, False))
     copied = _gradients(cfg)
     assert [n for n, _ in handed] == [n for n, _ in copied]
     for (name, a), (_, b) in zip(handed, copied):
@@ -192,7 +192,7 @@ def test_a_toy_backward_copies_only_shared_arrays_slices_and_transposes(monkeypa
     copies = {}
     accum = T._accum
 
-    def counting(t, g, owned=False):
+    def counting(t, g, owned):
         first = t.grad is None
         accum(t, g, owned)
         # a gradient reduced to t's shape is a new array, not a copy
