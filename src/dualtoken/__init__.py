@@ -7,7 +7,7 @@ from .tensor import (Tensor, GradTape, backward, count_macs, add, sub, mul,
                      layernorm, softmax, bilinear_resize)
 from .gradcheck import grad_check
 from .layers import Linear, LayerNorm, MultiHeadAttention, init_params
-from .block import BlockConfig, DualTokenBlock
+from .block import DualTokenBlock
 from .model import (ModelConfig, StageConfig, Model, build_model, preset,
                     PRESET_NAMES, save_checkpoint, load_checkpoint,
                     CheckpointError)

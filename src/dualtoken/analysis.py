@@ -89,7 +89,7 @@ def count_flops(cfg: ModelConfig, resolution=None) -> CostReport:
     entries = []
     g = cfg.token_grid
     t = g * g
-    n_g = cfg.block_config(0).global_token_count
+    n_g = cfg.global_token_count
     c1 = cfg.stages[0].channels
     mid = max(c1 // 2, 1)
     s = resolution
@@ -168,7 +168,6 @@ def instrumented_macs(model: Model, resolution=None, seed=0):
 
 @dataclass
 class AttentionMapExport:
-    query: object                 # int, "mean", or "all"
     maps: list                    # list of (grid x grid) or (n,) arrays
     queries: list                 # query label per map
     source_block: str = ""
@@ -205,8 +204,7 @@ def extract_attention_map(model: Model, image, query="mean"):
             raise ValueError(f"query index {q} out of range [0, {n})")
         maps = [shaped(attn[q])]
         queries = [q]
-    return AttentionMapExport(query=query, maps=maps, queries=queries,
-                              source_block=source_block)
+    return AttentionMapExport(maps=maps, queries=queries, source_block=source_block)
 
 
 def top_cells(map2d):

@@ -6,74 +6,8 @@ one-step downsampling)."""
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
-
 from . import tensor as T
 from .layers import LayerNorm, Linear, MultiHeadAttention, init_params, prefixed
-
-# the values each string-valued BlockConfig field may take
-_KINDS = {
-    "mlp_kind": ("normal", "mix"),
-    "local_kind": ("conv_encoder", "window_msa"),
-    "ds_kind": ("step_wise", "one_step"),
-    "global_mode": ("position_aware_sum", "normal_msa", "position_aware_msa"),
-}
-
-
-def check_positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be a positive int, got {value!r}")
-
-
-@dataclass
-class BlockConfig:
-    channels: int
-    heads: int
-    dw_kernel: int | None = 5
-    token_grid: int = 7
-    alpha: float = 0.1
-    mlp_kind: str = "normal"          # normal | mix
-    local_kind: str = "conv_encoder"  # conv_encoder | window_msa
-    ds_kind: str = "step_wise"        # step_wise | one_step
-    global_mode: str = "position_aware_sum"  # position_aware_sum | normal_msa | position_aware_msa
-    ffn_ratio: int = 4
-    bidim: bool = True
-    window: int = 7
-    num_global_tokens: int = 8        # token count for normal_msa mode
-    skip_local_and_ds: bool = False
-    resolution: int = 28              # stage feature-map side the block is built for
-
-    def __post_init__(self):
-        for name in ("channels", "heads", "token_grid", "ffn_ratio", "window",
-                     "num_global_tokens", "resolution"):
-            check_positive_int(name, getattr(self, name))
-        if (isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
-                or not 0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must be a real number in [0, 1], got {self.alpha!r}")
-        for name, values in _KINDS.items():
-            if getattr(self, name) not in values:
-                raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
-        if not isinstance(self.bidim, bool):
-            raise ValueError(f"bidim must be true or false, got {self.bidim!r}")
-        if self.local_kind == "conv_encoder" and not self.skip_local_and_ds:
-            if self.dw_kernel is None:
-                raise ValueError("a block with the conv encoder needs a dw_kernel")
-            check_positive_int("dw_kernel", self.dw_kernel)
-        if self.channels % self.heads != 0:
-            raise ValueError(
-                f"channels {self.channels} not divisible by heads {self.heads}")
-        if self.local_kind == "window_msa" and not self.skip_local_and_ds:
-            if self.resolution % self.window != 0:
-                raise ValueError(
-                    f"window_msa needs the feature map side ({self.resolution}) "
-                    f"divisible by the window ({self.window})")
-
-    @property
-    def global_token_count(self):
-        if self.global_mode == "normal_msa":
-            return self.num_global_tokens
-        return self.token_grid * self.token_grid
 
 
 def ds_plan(resolution, grid, n_convs):
@@ -261,7 +195,7 @@ class BiDimAttention:
 
     def __call__(self, x):
         s = T.sigmoid(self.spatial_gate(x))                      # N x 1
-        pooled = T.mean(x, axis=0, keepdims=True)                # 1 x C
+        pooled = T.mean(x, axis=0)                               # 1 x C
         c = T.sigmoid(self.channel_gate(pooled))                 # 1 x C
         return T.add(x, T.mul(T.mul(x, s), c))
 
@@ -275,17 +209,23 @@ class DualTokenBlock:
     broadcast), dual-token fusion, FFN, bi-dimensional attention, and the
     residual global-token update."""
 
-    def __init__(self, rng, cfg):
+    def __init__(self, rng, cfg, stage):
+        """A block of stage `stage` (0, 1 or 2) of the `ModelConfig` `cfg`: its
+        width, heads and depthwise kernel are the stage's, and its map side is
+        `cfg.stage_resolution(stage)`. The last stage has no local branch and
+        no downsampler."""
         self.cfg = cfg
-        c, h = cfg.channels, cfg.heads
-        if cfg.skip_local_and_ds:
+        s = cfg.stages[stage]
+        c, h = s.channels, s.heads
+        last = stage == 2
+        if last:
             self.local = None
         elif cfg.local_kind == "conv_encoder":
-            self.local = ConvEncoder(rng, c, cfg.dw_kernel)
+            self.local = ConvEncoder(rng, c, s.dw_kernel)
         else:
             self.local = WindowAttentionLocal(rng, c, h, cfg.window)
-        ds_kind = "skip" if cfg.skip_local_and_ds else cfg.ds_kind
-        self.ds = Downsampler(rng, c, ds_kind, cfg.token_grid, cfg.resolution)
+        self.ds = Downsampler(rng, c, "skip" if last else cfg.ds_kind,
+                              cfg.token_grid, cfg.stage_resolution(stage))
         self.aggregate = MultiHeadAttention(rng, c, h)
         self.fuse_norm = self.fuse_mlp = self.fuse_attn = None
         if cfg.global_mode == "position_aware_sum":

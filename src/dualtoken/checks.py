@@ -6,9 +6,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .block import BlockConfig, DualTokenBlock
+from .block import DualTokenBlock
 from .gradcheck import central_differences, grad_check
-from .model import build_model, preset
+from .model import STRIDES, ModelConfig, StageConfig, build_model, preset
 from .tensor import GradTape, Tensor
 
 
@@ -91,12 +91,15 @@ def gradcheck_primitives():
     return results
 
 
-def _tiny_block(rng, **overrides):
-    defaults = dict(channels=4, heads=2, dw_kernel=3, token_grid=2,
-                    resolution=4, ffn_ratio=2)
-    defaults.update(overrides)
-    cfg = BlockConfig(**defaults)
-    return cfg, DualTokenBlock(rng, cfg)
+def _tiny_block(rng, resolution=4, **overrides):
+    """A block 4 wide with 2 heads, depthwise kernel 3, grid 2 and FFN ratio 2,
+    built for a `resolution`-sided map, with `overrides` to its `ModelConfig`:
+    a stage-0 block for side 4 or 8, a stage-1 block of a 224² config for
+    side 14."""
+    stage = 0 if resolution * STRIDES[0] % 32 == 0 else 1
+    cfg = ModelConfig(stages=[StageConfig(1, 4, 2, 3)] * 3, token_grid=2, ffn_ratio=2,
+                      input_resolution=resolution * STRIDES[stage], **overrides)
+    return cfg, DualTokenBlock(rng, cfg, stage)
 
 
 def gradcheck_blocks():

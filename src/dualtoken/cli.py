@@ -40,9 +40,9 @@ def _load_config(args):
     if args.tokens:
         overrides["global_mode"] = {"normal": "normal_msa",
                                     "posaware": "position_aware_sum"}[args.tokens]
-    if args.grid:
+    if args.grid is not None:
         overrides["token_grid"] = args.grid
-    if args.resolution:
+    if args.resolution is not None:
         overrides["input_resolution"] = args.resolution
     # rebuilt rather than mutated, so the overridden config is validated again
     cfg = dataclasses.replace(cfg, **overrides)
@@ -67,7 +67,11 @@ def _load_image(args, cfg):
     """The --image array, or a random image drawn from --seed at the
     config's resolution, as float32."""
     if args.image:
-        return np.load(args.image).astype(np.float32)
+        image = np.load(args.image)
+        if not isinstance(image, np.ndarray):
+            raise ValueError(f"--image {args.image} holds a {type(image).__name__}, "
+                             "not one array")
+        return image.astype(np.float32)
     rng = np.random.default_rng(args.seed)
     return rng.standard_normal(
         (cfg.input_resolution, cfg.input_resolution, 3)).astype(np.float32)
@@ -173,7 +177,7 @@ def cmd_attnmap(args):
 def cmd_gen_data(args):
     _err(f"seed: {args.seed}")
     ds = data_mod.gen_synthetic(seed=args.seed, n=args.n, classes=8,
-                                side=args.resolution or 32)
+                                side=args.resolution)
     data_mod.save_dataset(ds, args.out)
     print(f"dataset n={len(ds)} classes={ds.classes} "
           f"side={ds.images.shape[1]} file={args.out}")
@@ -262,7 +266,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.fn(args)
-    except (ValueError, FloatingPointError, OSError,
+    except (ValueError, EOFError, FloatingPointError, OSError,
             train_mod.TrainingDiverged) as exc:
         _fail(type(exc).__name__, "success", str(exc).replace(" ", "_"), 0)
         return 1

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import check_positive_int
-from .model import (CheckpointError, cast_stored, check_tensors, read_tensors,
-                    write_tensors)
+from .model import (CheckpointError, cast_stored, check_positive_int, check_tensors,
+                    read_tensors, write_tensors)
 
 
 @dataclass
@@ -30,6 +29,7 @@ class SyntheticDataset:
 def gen_synthetic(seed=42, n=800, classes=8, side=32):
     """Deterministic dataset; labels are assigned round-robin (i % classes)."""
     check_positive_int("n", n)
+    check_positive_int("side", side)
     if side % 8 != 0:
         raise ValueError(f"side {side} must be divisible by 8")
     if classes < 2:

@@ -6,15 +6,21 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
-from dataclasses import MISSING, dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import tensor as T
-from .block import BlockConfig, DualTokenBlock, check_positive_int
+from .block import DualTokenBlock
 from .layers import LayerNorm, Linear, init_params, prefixed
+
+
+def check_positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
 @dataclass
@@ -53,6 +59,14 @@ def _known_fields(cls, d):
 
 STRIDES = (8, 16, 32)
 
+# the values each string-valued ModelConfig field may take
+_KINDS = {
+    "mlp_kind": ("normal", "mix"),
+    "local_kind": ("conv_encoder", "window_msa"),
+    "ds_kind": ("step_wise", "one_step"),
+    "global_mode": ("position_aware_sum", "normal_msa", "position_aware_msa"),
+}
+
 
 @dataclass
 class ModelConfig:
@@ -67,7 +81,7 @@ class ModelConfig:
     ffn_ratio: int = 4
     bidim: bool = True
     window: int = 7
-    num_global_tokens: int = 8
+    num_global_tokens: int = 8        # token count for normal_msa mode
     num_classes: int = 1000
     input_resolution: int = 224
     head_hidden: int = 1280
@@ -75,33 +89,45 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.stages, (list, tuple)):
             raise ValueError(f"stages must be a list of 3 stage configs, got {self.stages!r}")
-        self.stages = [s if isinstance(s, StageConfig) else StageConfig.from_dict(s)
+        # each stage is rebuilt, so one changed in place is validated again
+        self.stages = [StageConfig.from_dict(asdict(s) if isinstance(s, StageConfig) else s)
                        for s in self.stages]
         if len(self.stages) != 3:
             raise ValueError(f"expected exactly 3 stages, got {len(self.stages)}")
-        for name in ("input_resolution", "num_classes", "head_hidden"):
+        for name in ("input_resolution", "num_classes", "head_hidden", "token_grid",
+                     "ffn_ratio", "window", "num_global_tokens"):
             check_positive_int(name, getattr(self, name))
         if self.input_resolution % 32 != 0:
             # stride-8 stem plus two 2x2 merges need five halvings in total
             raise ValueError("input resolution must be divisible by 32")
-        # the per-block rules (alpha, heads, windows) live in BlockConfig
-        for i in range(3):
-            self.block_config(i)
+        if (isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
+                or not 0.0 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must be a real number in [0, 1], got {self.alpha!r}")
+        for name, values in _KINDS.items():
+            if getattr(self, name) not in values:
+                raise ValueError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
+        if not isinstance(self.bidim, bool):
+            raise ValueError(f"bidim must be true or false, got {self.bidim!r}")
+        for s in self.stages:
+            if s.channels % s.heads != 0:
+                raise ValueError(f"channels {s.channels} not divisible by heads {s.heads}")
+        for i in range(2):  # the last stage has no local branch
+            if self.local_kind == "conv_encoder" and self.stages[i].dw_kernel is None:
+                raise ValueError("a block with the conv encoder needs a dw_kernel")
+            side = self.stage_resolution(i)
+            if self.local_kind == "window_msa" and side % self.window != 0:
+                raise ValueError(
+                    f"window_msa needs the feature map side ({side}) "
+                    f"divisible by the window ({self.window})")
 
     def stage_resolution(self, i):
         return self.input_resolution // STRIDES[i]
 
-    def block_config(self, stage_index):
-        s = self.stages[stage_index]
-        return BlockConfig(
-            channels=s.channels, heads=s.heads, dw_kernel=s.dw_kernel,
-            token_grid=self.token_grid, alpha=self.alpha,
-            mlp_kind=self.mlp_kind, local_kind=self.local_kind,
-            ds_kind=self.ds_kind, global_mode=self.global_mode,
-            ffn_ratio=self.ffn_ratio, bidim=self.bidim, window=self.window,
-            num_global_tokens=self.num_global_tokens,
-            skip_local_and_ds=(stage_index == 2),
-            resolution=self.stage_resolution(stage_index))
+    @property
+    def global_token_count(self):
+        if self.global_mode == "normal_msa":
+            return self.num_global_tokens
+        return self.token_grid * self.token_grid
 
     def to_dict(self):
         return asdict(self)
@@ -226,10 +252,11 @@ class StageTransition:
 
 class Model:
     def __init__(self, rng, cfg):
-        self.cfg = cfg
+        # rebuilt, so a config changed in place is validated again
+        self.cfg = cfg = replace(cfg)
         c1 = cfg.stages[0].channels
         self.stem = Stem(rng, c1)
-        n_g = cfg.block_config(0).global_token_count
+        n_g = cfg.global_token_count
         # learnable initial global tokens
         self.g_init = init_params(rng, (n_g, c1), "trunc_normal")
         self.stages = []   # list of list of DualTokenBlock
@@ -238,8 +265,7 @@ class Model:
             if si > 0:
                 self.transitions.append(StageTransition(
                     rng, cfg.stages[si - 1].channels, cfg.stages[si].channels))
-            bcfg = cfg.block_config(si)
-            self.stages.append([DualTokenBlock(rng, bcfg)
+            self.stages.append([DualTokenBlock(rng, cfg, si)
                                 for _ in range(cfg.stages[si].blocks)])
         c3 = cfg.stages[2].channels
         self.head_norm = LayerNorm(rng, c3)
@@ -295,7 +321,7 @@ class Model:
         are looked up at each call: a tracer may stand in for them."""
         h, w, c = x.shape
         tokens = T.reshape(x, (h * w, c))
-        pooled = T.mean(self.head_norm(tokens), axis=0, keepdims=True)
+        pooled = T.mean(self.head_norm(tokens), axis=0)
         y = T.gelu(self.head_lin1(pooled))
         return T.reshape(self.head_lin2(y), (self.cfg.num_classes,))
 

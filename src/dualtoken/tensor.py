@@ -643,24 +643,23 @@ def slice_axis(x, axis, start, stop):
     return out
 
 
-def sum(x, axis=None, keepdims=False):  # noqa: A001 - deliberate op name
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+def sum(x):  # noqa: A001 - deliberate op name
+    """The sum of every element of x."""
+    out = Tensor(x.data.sum())
     if _trace(x):
-        def bwd(g, x=x, axis=axis, keepdims=keepdims):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
+        def bwd(g, x=x):
             _accum(x, np.broadcast_to(g, x.data.shape), False)
         _emit(out, bwd)
     return out
 
 
-def mean(x, axis=None, keepdims=False):
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
+def mean(x, axis=None):
+    """The mean over `axis`, which is kept with size 1, or over every
+    element when `axis` is None."""
+    out = Tensor(x.data.mean(axis=axis, keepdims=axis is not None))
     if _trace(x):
         n = x.data.size if axis is None else x.data.shape[axis]
-        def bwd(g, x=x, axis=axis, keepdims=keepdims, n=n):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
+        def bwd(g, x=x, n=n):
             _accum(x, np.broadcast_to(g, x.data.shape) / n, True)
         _emit(out, bwd)
     return out

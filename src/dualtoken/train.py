@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .block import check_positive_int
-from .model import (CheckpointError, Model, build_model, cast_stored, check_tensors,
-                    read_tensors, write_tensors)
+from .model import (CheckpointError, Model, build_model, cast_stored, check_positive_int,
+                    check_tensors, read_tensors, write_tensors)
 from .tensor import GradTape, Tensor
 
 

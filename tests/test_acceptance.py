@@ -10,8 +10,7 @@ from dualtoken.analysis import (PARAM_TOL, FLOP_TOL, TABLE_TARGETS,
                                 count_flops, count_params, export_heatmap,
                                 extract_attention_map, instrumented_macs,
                                 read_heatmap_csv, top_cells)
-from dualtoken.block import BlockConfig, Downsampler, DualTokenBlock, \
-    ds_conv_count
+from dualtoken.block import Downsampler, DualTokenBlock, ds_conv_count
 from dualtoken.data import SyntheticDataset, gen_synthetic
 from dualtoken.gradcheck import grad_check
 from dualtoken.layers import MultiHeadAttention
@@ -22,6 +21,7 @@ from dualtoken.train import evaluate, load_state, save_state, train_toy
 
 import test_layers
 import test_tensor_ops
+from test_block import build_block
 
 
 def report(num, ok, detail):
@@ -106,7 +106,8 @@ def test_criterion_6_shape_invariants(bilinear_calls):
         problems.append("stride ladder")
     if (ds_conv_count(28, 7), ds_conv_count(14, 7)) != (1, 0):
         problems.append("downsample schedule")
-    if not cfg.block_config(2).skip_local_and_ds:
+    last = DualTokenBlock(np.random.default_rng(0), cfg, 2)
+    if last.local is not None or last.ds.kind != "skip":
         problems.append("stage-3 skip")
     # interpolation fallback preserves constants exactly (256^2 stage 1: 32 -> 7)
     ds = Downsampler(np.random.default_rng(0), 4, "step_wise", 7, 32)
@@ -122,9 +123,7 @@ def test_criterion_6_shape_invariants(bilinear_calls):
         if np.abs(attn.sum(axis=-1) - 1.0).max() > 1e-6:
             problems.append(f"attention rows ({path})")
     # global-token residual identity with the fused update forced to zero
-    bcfg = BlockConfig(channels=8, heads=2, dw_kernel=3, token_grid=2,
-                       resolution=4, alpha=1.0)
-    block = DualTokenBlock(np.random.default_rng(3), bcfg)
+    _, block = build_block(seed=3, alpha=1.0)
     block.fuse_mlp.lin2.weight.data[:] = 0.0
     block.fuse_mlp.lin2.bias.data[:] = 0.0
     g0 = np.random.default_rng(4).standard_normal((4, 8)).astype(np.float32)
@@ -134,10 +133,7 @@ def test_criterion_6_shape_invariants(bilinear_calls):
         problems.append("residual identity")
     # alpha degeneracies
     for alpha in (0.0, 1.0):
-        b = DualTokenBlock(np.random.default_rng(6),
-                           BlockConfig(channels=8, heads=2, dw_kernel=3,
-                                       token_grid=2, resolution=4,
-                                       alpha=alpha))
+        _, b = build_block(seed=6, alpha=alpha)
         g = Tensor(np.random.default_rng(7).standard_normal((4, 8)).astype(np.float32))
         xga = Tensor(np.random.default_rng(8).standard_normal((4, 8)).astype(np.float32))
         fused = b.fuse_global_tokens(g, xga).data

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from dualtoken import tensor as T
-from dualtoken.block import (BlockConfig, ConvEncoder, DualTokenBlock,
-                             Downsampler, WindowAttentionLocal, ds_conv_count,
-                             ds_plan)
+from dualtoken.block import (ConvEncoder, DualTokenBlock, Downsampler,
+                             WindowAttentionLocal, ds_conv_count, ds_plan)
 from dualtoken.layers import MultiHeadAttention
+from dualtoken.model import ModelConfig, StageConfig
 from dualtoken.tensor import Tensor
 
 
-def build_block(seed=0, **overrides):
-    defaults = dict(channels=8, heads=2, dw_kernel=3, token_grid=2,
-                    resolution=4, ffn_ratio=2)
-    defaults.update(overrides)
-    cfg = BlockConfig(**defaults)
-    return cfg, DualTokenBlock(np.random.default_rng(seed), cfg)
+def build_block(seed=0, resolution=4, **overrides):
+    """A stage-0 block 8 wide with 2 heads, kernel 3, grid 2 and FFN ratio 2,
+    on a `resolution`-sided map."""
+    cfg = ModelConfig(stages=[StageConfig(1, 8, 2, 3)] * 3, token_grid=2, ffn_ratio=2,
+                      input_resolution=8 * resolution, **overrides)
+    return cfg, DualTokenBlock(np.random.default_rng(seed), cfg, 0)
 
 
 def test_ds_plan_hits_the_grid_at_default_resolutions():
@@ -172,8 +172,7 @@ def test_mix_mlp_is_bound_to_its_token_count():
 
 
 def test_block_config_validation():
-    with pytest.raises(ValueError):
-        BlockConfig(channels=8, heads=2, alpha=1.5)
-    with pytest.raises(ValueError):
-        BlockConfig(channels=8, heads=2, local_kind="window_msa",
-                    resolution=10, window=7)
+    with pytest.raises(ValueError, match="alpha"):
+        build_block(alpha=1.5)
+    with pytest.raises(ValueError, match=r"side \(4\) divisible by the window \(3\)"):
+        build_block(local_kind="window_msa", window=3)

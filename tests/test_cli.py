@@ -213,6 +213,31 @@ def test_forward_with_a_directory_as_image_is_one_fail_line(tmp_path):
     assert out.startswith("FAIL IsADirectoryError")
 
 
+@pytest.mark.parametrize("name, fail", [("x.npz", "FAIL ValueError"),
+                                        ("empty.npy", "FAIL EOFError")])
+def test_forward_with_an_image_that_is_not_one_array_is_one_fail_line(name, fail, tmp_path):
+    path = tmp_path / name
+    if name.endswith(".npz"):
+        np.savez(path, image=np.zeros((32, 32, 3), np.float32))
+    else:
+        path.write_bytes(b"")
+    code, out, err = run_process(["forward", "--preset", "toy", "--image", str(path)])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith(fail)
+
+
+@pytest.mark.parametrize("command", ["forward", "gen-data"])
+def test_a_zero_resolution_is_one_fail_line(command, tmp_path):
+    path = tmp_path / "data.dtvt"
+    argv = [command, "--resolution", "0"]
+    if command == "gen-data":
+        argv += ["--out", str(path)]
+    code, out, err = run_process(argv)
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError") and "must_be_a_positive_int" in out
+    assert not path.exists()
+
+
 def test_attnmap_out_at_an_existing_file_is_one_fail_line(tmp_path):
     path = tmp_path / "taken"
     path.write_text("")

@@ -45,6 +45,9 @@ def test_dataset_validation():
     for n in (0, -3, 2.0):
         with pytest.raises(ValueError, match="n must be a positive int"):
             gen_synthetic(n=n)
+    for side in (0, -8):
+        with pytest.raises(ValueError, match="side must be a positive int"):
+            gen_synthetic(side=side)
 
 
 def test_dataset_round_trip(tmp_path):

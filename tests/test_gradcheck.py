@@ -1,7 +1,8 @@
 """The finite-difference checker itself: accepts correct gradients and flags
 broken ones; the gradients that no suite probes; the model suite's probes,
 which rerun only the trunk steps after the probed tensor, against a full
-forward per probe; and one directional probe of every tensor of the model."""
+forward per probe; and one directional probe of every tensor of the model
+and of each block variant."""
 
 import math
 from collections import Counter
@@ -17,6 +18,7 @@ from dualtoken.tensor import GradTape, Tensor
 from dualtoken.train import cross_entropy
 
 from test_acceptance import criterion_7_variants
+from test_model import _BLOCK_VARIANTS
 
 
 def test_accepts_a_correct_gradient():
@@ -250,4 +252,35 @@ def test_every_tensor_passes_a_directional_probe(cfg):
         assert report.checked == 1
         if not report.passed:
             failed.append(f"{name}: {report.max_rel_err:.2e}")
+    assert not failed
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_VARIANTS))
+def test_every_block_tensor_passes_a_directional_probe(name):
+    # the map, the global tokens and every parameter of the block, in f64,
+    # each along its own seeded unit direction, on mean(map) + mean(tokens)
+    overrides = _BLOCK_VARIANTS[name]
+    cfg, block = checks._tiny_block(np.random.default_rng(0), **overrides)
+    checks.cast_model(block, np.float64)
+    side = overrides.get("resolution", 4)
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal((side, side, 4)), requires_grad=True)
+    g = Tensor(rng.standard_normal((cfg.global_token_count, 4)), requires_grad=True)
+
+    def loss():
+        out, g_out, _ = block(x, g)
+        return T.add(T.mean(out), T.mean(g_out))
+
+    tape = GradTape()
+    with tape:
+        value = loss()
+    T.backward(tape, value)
+    failed = []
+    for tname, t in [("map", x), ("tokens", g)] + list(block.named_params()):
+        v = rng.standard_normal(t.size)
+        v /= np.linalg.norm(v)
+        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
+        report = central_differences(loss, t.data.reshape(-1), analytic, [v])
+        if not report.passed:
+            failed.append(f"{tname}: {report.max_rel_err:.2e}")
     assert not failed

@@ -581,6 +581,22 @@ def test_config_structural_validation():
         ModelConfig.from_dict(no_kernel)
 
 
+def test_a_config_changed_in_place_is_refused_at_build():
+    changes = [(dict(alpha=1.5), "alpha"),
+               (dict(local_kind="window_msa", window=3), "divisible by the window"),
+               (dict(local_kind="conv"), "local_kind")]
+    for change, message in changes:
+        cfg = preset("toy")
+        for key, value in change.items():
+            setattr(cfg, key, value)
+        with pytest.raises(ValueError, match=message):
+            build_model(cfg)
+    cfg = preset("toy")
+    cfg.stages[1].heads = 3
+    with pytest.raises(ValueError, match="not divisible by heads 3"):
+        build_model(cfg)
+
+
 def test_preset_names_and_unknown_preset():
     for name in ("dualtoken_t", "dualtoken_t_mix", "dualtoken_s",
                  "dualtoken_s_mix", "toy", "toy_grad"):
