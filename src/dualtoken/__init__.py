@@ -8,9 +8,9 @@ from .tensor import (Tensor, GradTape, backward, count_macs, add, sub, mul,
 from .gradcheck import grad_check
 from .layers import Linear, LayerNorm, MultiHeadAttention, init_params
 from .block import DualTokenBlock
+from .container import CheckpointError
 from .model import (ModelConfig, StageConfig, Model, build_model, preset,
-                    PRESET_NAMES, save_checkpoint, load_checkpoint,
-                    CheckpointError)
+                    PRESET_NAMES, save_checkpoint, load_checkpoint)
 from .analysis import (CostReport, count_params, count_flops,
                        instrumented_macs, extract_attention_map,
                        export_heatmap, top_cells, TABLE_TARGETS)

@@ -59,11 +59,12 @@ class CostReport:
 
 
 def count_params(model: Model) -> CostReport:
-    """Exact per-layer parameter counts. The rows are the layer paths that
-    `count_flops` names, in its order, each summing the parameters whose
-    names lie under it; a parameter under none of them (the initial global
-    tokens) is a row of its own, after them."""
-    rows = {e.path: CostEntry(e.path) for e in count_flops(model.cfg).entries}
+    """Exact per-layer parameter counts beside the MACs of `count_flops` at
+    the model's input resolution. The rows are the layer paths that
+    `count_flops` names, in its order, each with its MACs and the sum of the
+    parameters whose names lie under it; a parameter under none of them (the
+    initial global tokens) is a row of its own, after them, with no MACs."""
+    rows = {e.path: e for e in count_flops(model.cfg).entries}
     for name, p in model.named_params():
         path = name
         while path not in rows and "." in path:

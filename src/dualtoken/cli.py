@@ -79,21 +79,15 @@ def _load_image(args, cfg):
 
 def cmd_count(args):
     cfg = _load_config(args)
-    report = analysis.count_flops(cfg, cfg.input_resolution)
-    model = build_model(cfg, seed=args.seed)
-    params = analysis.count_params(model)
-    # the rows of both reports are the same layer paths
-    macs_by_path = {e.path: e.macs for e in report.entries}
-    for e in params.entries:
-        e.macs = macs_by_path.get(e.path, 0)
+    params = analysis.count_params(build_model(cfg, seed=args.seed))
     for line in params.lines():
         print(line)
     print(f"params_total {params.total_params}")
-    print(f"macs_total {report.total_macs} resolution {report.resolution}")
+    print(f"macs_total {params.total_macs} resolution {cfg.input_resolution}")
     ok = True
     if cfg.name in analysis.TABLE_TARGETS:
         targets = zip(("params", "flops"), analysis.TABLE_TARGETS[cfg.name],
-                      (params.total_params, report.total_macs),
+                      (params.total_params, params.total_macs),
                       (analysis.PARAM_TOL, analysis.FLOP_TOL))
         for kind, target, got, tol in targets:
             ok &= _check(f"{kind}_{cfg.name}", abs(got - target) / target <= tol,
@@ -266,7 +260,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.fn(args)
-    except (ValueError, EOFError, FloatingPointError, OSError,
+    except (ValueError, EOFError, FloatingPointError, OSError, MemoryError,
             train_mod.TrainingDiverged) as exc:
         _fail(type(exc).__name__, "success", str(exc).replace(" ", "_"), 0)
         return 1

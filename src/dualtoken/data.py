@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CheckpointError, cast_stored, check_positive_int, check_tensors,
-                    read_tensors, write_tensors)
+from .container import CheckpointError, Reader, write_tensors
+from .model import check_positive_int
 
 
 @dataclass
@@ -72,18 +72,18 @@ def load_dataset(path, classes=None, seed=0):
     and values that fit float32, and `labels` of shape (n,), whole numbers
     in [0, classes); `classes` defaults to the largest label plus one.
     Anything else raises `CheckpointError`."""
-    tensors = read_tensors(path)
-    check_tensors(path, {name: a.shape for name, a in tensors.items()},
-                  {"images": (None, None, None, 3), "labels": (None,)})
-    images = cast_stored(path, "images", tensors["images"], np.float32)
-    n, side = images.shape[:2]
-    if n < 1 or side < 1 or images.shape[2] != side:
-        raise CheckpointError(
-            f"{path}: images must be n x S x S x 3 with n, S >= 1, got {images.shape}")
-    labels = tensors["labels"]
-    if labels.shape != (n,):
-        raise CheckpointError(
-            f"{path}: labels have shape {labels.shape}, expected ({n},) for {n} images")
+    with Reader(path) as reader:
+        reader.expect({"images": (None, None, None, 3), "labels": (None,)})
+        shape = reader.shapes["images"]
+        n, side = shape[:2]
+        if n < 1 or side < 1 or shape[2] != side:
+            raise CheckpointError(
+                f"{path}: images must be n x S x S x 3 with n, S >= 1, got {shape}")
+        if reader.shapes["labels"] != (n,):
+            raise CheckpointError(f"{path}: labels have shape {reader.shapes['labels']}, "
+                                  f"expected ({n},) for {n} images")
+        images = reader.read("images", np.float32)
+        labels = reader.read("labels", np.float64)
     top = _MAX_LABEL if classes is None else classes
     if not (np.isfinite(labels).all() and (labels == np.floor(labels)).all()
             and labels.min() >= 0 and labels.max() < top):

@@ -5,16 +5,14 @@ checkpoint / config serialization."""
 from __future__ import annotations
 
 import json
-import math
 import numbers
-import os
-import struct
 from dataclasses import MISSING, dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import tensor as T
 from .block import DualTokenBlock
+from .container import Reader, write_tensors
 from .layers import LayerNorm, Linear, init_params, prefixed
 
 
@@ -356,160 +354,6 @@ def build_model(cfg, seed=42):
     return Model(np.random.default_rng(seed), cfg)
 
 
-# ---------------------------------------------------------------------------
-# checkpoint container
-# ---------------------------------------------------------------------------
-
-MAGIC = b"DTVT"
-VERSION = 1
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
-
-
-class CheckpointError(Exception):
-    pass
-
-
-def write_tensors(path, named):
-    """Write an ordered name -> ndarray mapping in the DTVT container.
-
-    Each payload is written from the array's own buffer, little-endian; only
-    an array that is not C-contiguous or not little-endian is copied first.
-    A dtype the container cannot hold raises `ValueError` before `path` is
-    opened, so an existing file there is left as it was."""
-    items = list(named.items())
-    for name, arr in items:
-        dtype = np.asarray(arr).dtype
-        if dtype.newbyteorder("=") not in _DTYPE_CODES:
-            raise ValueError(f"tensor {name} has dtype {dtype}; "
-                             "DTVT stores float32 and float64 only")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(items)))
-        for name, arr in items:
-            arr = np.ascontiguousarray(arr)
-            code = _DTYPE_CODES[arr.dtype.newbyteorder("=")]
-            arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<BB", code, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.data)
-
-
-def _read_index(fh, path):
-    """Parse every header of the open DTVT file `fh` without reading a
-    payload: an ordered name -> (dtype, dims, offset) mapping.
-
-    Each payload is checked against the file size from `os.fstat`, and so is
-    the end of the last one, before anything is allocated for it: a header
-    that claims more data than the file holds is refused at once."""
-    end = os.fstat(fh.fileno()).st_size
-
-    def take(n):
-        chunk = fh.read(n)
-        if len(chunk) != n:
-            raise CheckpointError(f"{path}: truncated file")
-        return chunk
-
-    if take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes (not a DTVT checkpoint)")
-    version, = struct.unpack("<I", take(4))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    count, = struct.unpack("<I", take(4))
-    index = {}
-    for _ in range(count):
-        nlen, = struct.unpack("<H", take(2))
-        try:
-            name = take(nlen).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: tensor name is not UTF-8") from None
-        if name in index:
-            raise CheckpointError(f"{path}: duplicate tensor {name}")
-        code, rank = struct.unpack("<BB", take(2))
-        if code not in _CODE_DTYPES:
-            raise CheckpointError(f"{path}: unknown dtype code {code} for {name}")
-        dtype = _CODE_DTYPES[code]
-        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
-        # exact Python ints, so an absurd shape cannot wrap around
-        offset = fh.tell()
-        nbytes = math.prod(dims) * dtype.itemsize
-        if offset + nbytes > end:
-            raise CheckpointError(f"{path}: truncated file")
-        fh.seek(nbytes, os.SEEK_CUR)
-        index[name] = (dtype, dims, offset)
-    if fh.tell() != end:
-        raise CheckpointError(f"{path}: {end - fh.tell()} trailing bytes")
-    return index
-
-
-def _read_payload(fh, path, name, entry, out):
-    """Read the payload of the index `entry` into the array `out` of its
-    shape, in place: straight into `out`'s buffer, or through a scratch array
-    when `out` has another dtype or byte order, or is not C-contiguous. A
-    value beyond the range of `out`'s dtype raises `CheckpointError`, and
-    leaves `out` unchanged."""
-    dtype, _, offset = entry
-    stored = dtype.newbyteorder("<")
-    direct = out.dtype == stored and out.flags.c_contiguous
-    buf = out if direct else np.empty(out.shape, stored)
-    fh.seek(offset)
-    if fh.readinto(buf.reshape(-1).view(np.uint8)) != buf.nbytes:
-        raise CheckpointError(f"{path}: {name} was cut short while it was read")
-    if buf is not out:
-        np.copyto(out, cast_stored(path, name, buf, out.dtype))
-
-
-def read_tensors(path):
-    """Read a DTVT container into an ordered name -> ndarray mapping, one
-    payload at a time, each straight into its own array."""
-    out = {}
-    with open(path, "rb") as fh:
-        for name, entry in _read_index(fh, path).items():
-            dtype, dims, _ = entry
-            try:
-                arr = np.empty(dims, dtype)
-            except ValueError as exc:  # an empty tensor with dims numpy refuses
-                raise CheckpointError(f"{path}: bad shape {dims} for {name}: {exc}") from None
-            _read_payload(fh, path, name, entry, arr)
-            out[name] = arr
-    return out
-
-
-def check_tensors(path, found, expected):
-    """Refuse a container unless it holds exactly the tensors of `expected`.
-
-    `found` maps each stored name to its dims; `expected` maps each name the
-    container must hold to its shape, in which a None dim matches any size.
-    A missing, misshapen or unexpected tensor raises `CheckpointError`
-    naming it."""
-    for name, shape in expected.items():
-        if name not in found:
-            raise CheckpointError(f"{path}: missing tensor {name}")
-        dims = tuple(found[name])
-        if len(dims) != len(shape) or any(
-                want is not None and got != want for got, want in zip(dims, shape)):
-            raise CheckpointError(f"{path}: shape mismatch for {name}: "
-                                  f"stored {dims} vs expected {tuple(shape)}")
-    extra = set(found) - set(expected)
-    if extra:
-        raise CheckpointError(f"{path}: unexpected tensors {sorted(extra)[:3]}")
-
-
-def cast_stored(path, name, arr, dtype):
-    """The stored tensor `name` as `dtype`; a value beyond the range of
-    `dtype` raises `CheckpointError` naming the tensor."""
-    try:
-        with np.errstate(over="raise"):
-            return arr.astype(dtype, copy=False)
-    except FloatingPointError:
-        raise CheckpointError(
-            f"{path}: {name} holds values beyond the {np.dtype(dtype)} range") from None
-
-
 def save_checkpoint(model, path):
     write_tensors(path, {n: p.data for n, p in model.named_params()})
 
@@ -521,18 +365,7 @@ def load_checkpoint(model, path):
     checked, before the first parameter is written; so a container that is
     refused leaves the model unchanged."""
     params = model.param_dict()
-    with open(path, "rb") as fh:
-        index = _read_index(fh, path)
-        check_tensors(path, {n: dims for n, (_, dims, _) in index.items()},
-                      {n: p.shape for n, p in params.items()})
-        cast = {}
-        for name, p in params.items():
-            if index[name][0] != p.data.dtype:
-                cast[name] = np.empty_like(p.data)
-                _read_payload(fh, path, name, index[name], cast[name])
-        for name, p in params.items():
-            if name in cast:
-                p.data[...] = cast[name]
-            else:
-                _read_payload(fh, path, name, index[name], p.data)
+    with Reader(path) as reader:
+        reader.expect({n: p.shape for n, p in params.items()})
+        reader.read_into({n: p.data for n, p in params.items()})
     return model

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .model import (CheckpointError, Model, build_model, cast_stored, check_positive_int,
-                    check_tensors, read_tensors, write_tensors)
+from .container import CheckpointError, Reader, write_tensors
+from .model import Model, build_model, check_positive_int
 from .tensor import GradTape, Tensor
 
 
@@ -271,27 +271,28 @@ def load_state(path, cfg, seed=42):
     whose values fit the parameter's dtype, `meta.step` (one whole number
     >= 0) and a 1-d `meta.loss_history`; anything else raises
     `CheckpointError` naming the tensor."""
-    tensors = read_tensors(path)
-    model = build_model(cfg, seed=seed)
-    state = TrainState(model=model, optimizer="adamw", lr=1e-3)
-    params = model.param_dict()
-    expected = {f"param.{name}": p.shape for name, p in params.items()}
-    for name, p in params.items():
-        if f"adam.m.{name}" in tensors:
-            expected[f"adam.m.{name}"] = expected[f"adam.v.{name}"] = p.shape
-    expected["meta.step"] = (1,)
-    expected["meta.loss_history"] = (None,)
-    check_tensors(path, {key: a.shape for key, a in tensors.items()}, expected)
-    for name, p in params.items():
-        # parameters keep their saved precision, so an f64 run resumes in f64
-        p.data = np.ascontiguousarray(tensors[f"param.{name}"])
-        if f"adam.m.{name}" in tensors:
-            state.moments[name] = tuple(
-                cast_stored(path, key, tensors[key], p.data.dtype)
-                for key in (f"adam.m.{name}", f"adam.v.{name}"))
-    step = float(tensors["meta.step"][0])
+    with Reader(path) as reader:
+        model = build_model(cfg, seed=seed)
+        state = TrainState(model=model, optimizer="adamw", lr=1e-3)
+        params = model.param_dict()
+        expected = {f"param.{name}": p.shape for name, p in params.items()}
+        for name, p in params.items():
+            if f"adam.m.{name}" in reader.shapes:
+                expected[f"adam.m.{name}"] = expected[f"adam.v.{name}"] = p.shape
+        expected["meta.step"] = (1,)
+        expected["meta.loss_history"] = (None,)
+        reader.expect(expected)
+        for name, p in params.items():
+            # parameters keep their saved precision, so an f64 run resumes in f64
+            p.data = reader.read(f"param.{name}", reader.dtypes[f"param.{name}"])
+            if f"adam.m.{name}" in reader.shapes:
+                state.moments[name] = tuple(
+                    reader.read(key, p.data.dtype)
+                    for key in (f"adam.m.{name}", f"adam.v.{name}"))
+        step = float(reader.read("meta.step", np.float64)[0])
+        history = reader.read("meta.loss_history", np.float64)
     if not (step.is_integer() and step >= 0):
         raise CheckpointError(f"{path}: meta.step must be a whole number >= 0, got {step}")
     state.step = int(step)
-    state.loss_history = [float(v) for v in tensors["meta.loss_history"]]
+    state.loss_history = [float(v) for v in history]
     return state

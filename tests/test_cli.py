@@ -254,6 +254,16 @@ def test_gen_data_with_no_images_is_one_fail_line(tmp_path):
     assert not path.exists()
 
 
+def test_a_failed_allocation_is_one_fail_line(monkeypatch, capsys):
+    # the image of this resolution would take 24 TiB; no test asks for it
+    def refuse(args, cfg):
+        raise MemoryError("Unable to allocate 24.0 TiB")
+    monkeypatch.setattr(cli, "_load_image", refuse)
+    code, out, err = run(["forward", "--preset", "toy", "--resolution", "1048576"], capsys)
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL MemoryError")
+
+
 @pytest.mark.parametrize("argv", [["train", "--steps", "abc"], ["frobnicate"]])
 def test_usage_error_is_one_fail_line(argv, capsys):
     code, out, err = run_process(argv)

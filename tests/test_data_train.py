@@ -8,13 +8,19 @@ import pytest
 from dualtoken.checks import cast_model
 from dualtoken.data import (SyntheticDataset, gen_synthetic, load_dataset,
                             save_dataset)
-from dualtoken.model import (CheckpointError, build_model, preset,
-                             read_tensors, write_tensors)
+from dualtoken.container import CheckpointError, Reader, write_tensors
+from dualtoken.model import build_model, preset
 from dualtoken.tensor import Tensor
 from dualtoken.train import (ADAMW_BETAS, ADAMW_EPS, ADAMW_WEIGHT_DECAY,
                              TrainState, TrainingDiverged, _apply_update,
                              cross_entropy, evaluate, load_state, save_state,
                              train_step, train_toy)
+
+
+def read_tensors(path):
+    """Every tensor of the DTVT file at `path`, in its stored dtype."""
+    with Reader(path) as reader:
+        return {name: reader.read(name, reader.dtypes[name]) for name in reader.shapes}
 
 
 def small_dataset(n=64, seed=42):

@@ -14,13 +14,19 @@ from hypothesis import strategies as st
 from dualtoken import tensor as T
 from dualtoken.checks import _tiny_block, cast_model
 from dualtoken.data import gen_synthetic, load_dataset, save_dataset
-from dualtoken.model import (PRESET_NAMES, CheckpointError, ModelConfig,
-                             StageConfig, build_model, load_checkpoint, preset,
-                             read_tensors, save_checkpoint, write_tensors)
+from dualtoken.container import CheckpointError, Reader, write_tensors
+from dualtoken.model import (PRESET_NAMES, ModelConfig, StageConfig, build_model,
+                             load_checkpoint, preset, save_checkpoint)
 from dualtoken.tensor import GradTape, Tensor
 from dualtoken.train import cross_entropy, load_state, save_state, train_toy
 
 from test_acceptance import criterion_7_variants
+
+
+def read_tensors(path):
+    """Every tensor of the DTVT file at `path`, in its stored dtype."""
+    with Reader(path) as reader:
+        return {name: reader.read(name, reader.dtypes[name]) for name in reader.shapes}
 
 
 def random_image(side, seed=0):
@@ -381,8 +387,9 @@ def test_checkpoint_header_claiming_2_40_elements_is_refused_before_allocating(t
     try:
         with pytest.raises(CheckpointError, match="truncated"):
             read_tensors(path)
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(build_model("toy_grad", seed=1), path)
+        for load in _EVERY_LOADER.values():
+            with pytest.raises(CheckpointError, match="truncated"):
+                load(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -510,18 +517,23 @@ def test_damaged_container_reads_or_raises_checkpoint_error(tmp_path, case):
 
 @pytest.fixture(scope="module")
 def healthy_blobs(tmp_path_factory):
-    """The bytes of a `toy_grad` training state after one AdamW step, and of
-    a small dataset."""
+    """The bytes of a `toy_grad` training state after one AdamW step, of its
+    model's checkpoint, and of a small dataset."""
     out = tmp_path_factory.mktemp("healthy")
     state = train_toy(preset("toy_grad"), gen_synthetic(seed=0, n=4, classes=4),
                       steps=1, lr=1e-3)
     save_state(state, out / "state.dtvt")
+    save_checkpoint(state.model, out / "checkpoint.dtvt")
     save_dataset(gen_synthetic(seed=0, n=4, classes=4, side=8), out / "data.dtvt")
-    return {kind: (out / f"{kind}.dtvt").read_bytes() for kind in ("state", "data")}
+    return {kind: (out / f"{kind}.dtvt").read_bytes()
+            for kind in ("state", "checkpoint", "data")}
 
 
 _LOADERS = {"state": lambda path: load_state(path, preset("toy_grad")),
             "data": load_dataset}
+_EVERY_LOADER = {
+    "checkpoint": lambda path: load_checkpoint(build_model("toy_grad", seed=1), path),
+    **_LOADERS}
 
 
 # a negative `where` counts from the end, where the state keeps `meta.*`
@@ -539,6 +551,40 @@ def test_damaged_state_or_dataset_loads_or_raises_checkpoint_error(
         _LOADERS[kind](path)
     except CheckpointError:
         pass
+
+
+def _grow_last_tensor(path, count):
+    """Give the last tensor of the DTVT file at `path`, a 1-d one of one
+    float32, `count` zero elements. The file grows sparsely: the zeros are
+    not written."""
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-12] + struct.pack("<Q", count))
+    with open(path, "r+b") as fh:
+        fh.truncate(len(blob) - 4 + 4 * count)
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("checkpoint", "junk"), ("checkpoint", "stem.conv0.weight"),
+    ("state", "junk"), ("state", "param.stem.conv0.weight"),
+    ("data", "junk"), ("data", "images")])
+def test_every_loader_refuses_a_25m_element_tensor_from_the_headers(
+        tmp_path, healthy_blobs, kind, name):
+    # an unexpected tensor, or an expected one misshapen, holding 95 MiB
+    path = tmp_path / f"{kind}.dtvt"
+    path.write_bytes(healthy_blobs[kind])
+    named = read_tensors(path)
+    named.pop(name, None)
+    named[name] = np.zeros(1, np.float32)  # last, so that it can grow
+    write_tensors(path, named)
+    _grow_last_tensor(path, 25 * 10 ** 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=name):
+            _EVERY_LOADER[kind](path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_config_json_round_trip_is_exact():
