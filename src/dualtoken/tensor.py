@@ -22,18 +22,18 @@ import numpy as np
 from . import kernels
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT2 = 1.0 / _SQRT2
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Eigen's float erf (generic_fast_erf_float): numerator coefficients of
-# z^13, z^11, ..., z^1 and denominator coefficients of z^8, z^6, ..., z^0
-_ERF_NUM = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-            -1.60960333262415e-02)
-_ERF_DEN = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-            -7.37332916720468e-03, -1.42647390514189e-02)
+# P of `_phi_tanh_f32`, coefficients of z^12, z^10, ..., z^0, and the clamp
+# R; tanh(R * P(R^2)) is exactly 1 in float32 (R * P(R^2) = 12.1, and numpy's
+# SIMD tanh returns 1 from 10 on)
+_PHI_TANH_P = (1.8466618284307259e-09, -1.3573044272117547e-07,
+               4.012601079049741e-06, -5.560395215728516e-05,
+               -3.174147285991323e-05, 0.036332064851374773,
+               0.7978853075682942)
+_PHI_TANH_CLAMP = 6.0
 # below this many elements the table lookup of `_phi_table_f32` beats the
-# ~25 numpy calls of the rational erf
-_RATIONAL_ERF_MIN_SIZE = 4096
+# ~18 numpy calls of the tanh form
+_PHI_TANH_MIN_SIZE = 4096
 # for |x| >= 40, Phi(x) is exactly 0 or 1 and the normal pdf exactly 0, in
 # float32 and float64 alike; GELU clamps x there so that +-inf * 0 never
 # happens and gelu(-inf) is 0
@@ -274,29 +274,27 @@ def scale(a, s):
     return out
 
 
-def _phi_rational_f32(x):
-    """Phi(x) = (1 + erf(x / sqrt(2))) / 2 for a float32 array, with Eigen's
-    float erf: the argument clamped to [-4, 4] (erf is +-1 in f32 beyond),
-    then an odd degree-13 numerator over an even degree-8 denominator, both
-    by Horner in place. NaN stays NaN."""
-    z = x * _INV_SQRT2
-    np.clip(z, -4.0, 4.0, out=z)
-    z2 = z * z
-    p = z2 * _ERF_NUM[0]
-    for c in _ERF_NUM[1:-1]:
+def _phi_tanh_f32(x):
+    """Phi(x) for a float32 array as (1 + tanh(x * P(z^2))) / 2, with z = x
+    clamped to [-R, R] and P by Horner in place: about 18 numpy calls, one of
+    them numpy's SIMD tanh. Multiplying by x rather than z saves a third
+    array: beyond the clamp |x * P(R^2)| exceeds R * P(R^2), so tanh is +-1
+    as at the clamp, and the product overflows to +-inf only past 1.68e38,
+    where tanh is +-1 too. Phi(+-inf) is exactly 1 and 0, and NaN stays NaN.
+    Returns Phi and the array that held z^2, for the caller's output."""
+    s = np.clip(x, -_PHI_TANH_CLAMP, _PHI_TANH_CLAMP)
+    s *= s
+    p = s * _PHI_TANH_P[0]
+    for c in _PHI_TANH_P[1:-1]:
         p += c
-        p *= z2
-    p += _ERF_NUM[-1]
-    p *= z
-    q = np.multiply(z2, _ERF_DEN[0], out=z)
-    for c in _ERF_DEN[1:-1]:
-        q += c
-        q *= z2
-    q += _ERF_DEN[-1]
-    p /= q
+        p *= s
+    p += _PHI_TANH_P[-1]
+    with np.errstate(over="ignore"):
+        p *= x
+    np.tanh(p, out=p)
     p += 1.0
     p *= 0.5
-    return p
+    return p, s
 
 
 def _phi_exact_f64(x):
@@ -342,31 +340,40 @@ def _phi_table_f32(x):
 
 
 def gelu(x):
-    """GELU, x * Phi(x), with Phi the normal CDF written through erf.
+    """GELU, x * Phi(x), with Phi the normal CDF.
 
     Phi depends on the dtype and size of x:
-    - float32, at least 4,096 elements: the vectorised rational erf of
-      `_phi_rational_f32`;
+    - float32, at least 4,096 elements: (1 + tanh(x * P(z^2))) / 2 with z = x
+      clamped to [-6, 6] (`_phi_tanh_f32`), since tanh(atanh(erf(x / sqrt 2)))
+      is 2 Phi - 1. P has degree 6 in z^2 and was fitted offline to
+      atanh(erf(z / sqrt 2)) / z on (0, 6] by iteratively reweighted least
+      squares (Lawson's minimax), weighted so that it minimises the largest
+      GELU error relative to max(1, |x|). Its two lowest coefficients are
+      close to Hendrycks & Gimpel's sqrt(2 / pi) and 0.044715 sqrt(2 / pi).
+      From the clamp on, tanh is exactly +-1 in float32, so Phi is 0 or 1.
+      numpy's SIMD float32 tanh makes this the cheapest form on large arrays;
     - float32, fewer elements: linear interpolation in a table of Phi at
       steps of 1/512 on [-6, 6] (`_phi_table_f32`), about ten numpy calls
-      where the rational erf makes ~25;
+      where the tanh form makes ~18;
     - float64 (every gradient check): `math.erf` per element, exact to about
       an ulp. One Python call per element makes that ~0.11 us an element,
       about 4x a vectorised erf: a 2^20-element float64 array takes ~0.12 s.
     Both float32 paths keep GELU within 2e-6 * max(1, |x|) of the exact one
-    (measured: at most 1.4e-6 absolute for |x| <= 12 on the rational path,
-    and 0.13 of the bound on the table).
+    (measured at 2^21 points on [-12, 12] and on [-40, 40]: at most 0.062 of
+    the bound on the tanh path with numpy's default tanh kernel, 0.072 with
+    its baseline (X86_V2) kernel, and 0.13 on the table).
     The backward uses the saved Phi and the exact normal pdf either way. x is
     clamped at -40 (and at +40 for the pdf), where the tails are exactly 0 or
     1, so gelu(-inf) is 0 with gradient 0, and gelu(inf) is inf with
     gradient 1; NaN stays NaN."""
+    spare = None
     if x.data.dtype == np.float64:
         phi = _phi_exact_f64(x.data)
-    elif x.data.size >= _RATIONAL_ERF_MIN_SIZE:
-        phi = _phi_rational_f32(x.data)
+    elif x.data.size >= _PHI_TANH_MIN_SIZE:
+        phi, spare = _phi_tanh_f32(x.data)
     else:
         phi = _phi_table_f32(x.data)
-    y = np.maximum(x.data, -_GELU_TAIL)
+    y = np.maximum(x.data, -_GELU_TAIL, out=spare)
     y *= phi
     out = Tensor(y)
     if _trace(x):
@@ -418,10 +425,13 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data)
     if _trace(a, b):
         def bwd(g, a=a, b=b):
+            # a product with an inner dimension of 1 is an outer product:
+            # one broadcast multiply gives the GEMM's bits in a fraction of
+            # its time
             if a.requires_grad:
-                _accum(a, g @ b.data.T, True)
+                _accum(a, g * b.data.T if n == 1 else g @ b.data.T, True)
             if b.requires_grad:
-                _accum(b, a.data.T @ g, True)
+                _accum(b, a.data.T * g if m == 1 else a.data.T @ g, True)
         _emit(out, bwd)
     return out
 

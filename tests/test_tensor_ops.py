@@ -55,6 +55,13 @@ def exact_gelu(x):
                      for v in np.asarray(x, dtype=np.float64).ravel().tolist()])
 
 
+def exact_gelu_grad(x):
+    """Phi(x) + x * pdf(x) in float64 through libm's erf, for any float array."""
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
+                     + v * math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+                     for v in np.asarray(x, dtype=np.float64).ravel().tolist()])
+
+
 def exact_sigmoid(x):
     """1 / (1 + exp(-x)) in 40-digit decimal arithmetic, rounded once."""
     with decimal.localcontext() as ctx:
@@ -73,6 +80,25 @@ def test_matmul_matches_naive_oracle(dtype):
         got = T.matmul(Tensor(a), Tensor(b)).data
         want = naive_matmul(a.astype(np.float64), b.astype(np.float64))
         assert np.abs(got - want).max() <= tol_for(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rank_one_matmul_gradients_are_bitwise_the_gemm(dtype):
+    # with one row in a, a's transpose times g has an inner dimension of 1, as
+    # has g times b's transpose with one column in b; the backward multiplies
+    # by broadcasting there, which must give the GEMM's bits
+    rng = np.random.default_rng(12)
+    for m, k, n in [(1, 7, 5), (1, 1280, 1000), (6, 9, 1), (1, 8, 1), (1, 1, 3)]:
+        a = Tensor(rng.standard_normal((m, k)).astype(dtype), requires_grad=True)
+        b = Tensor(rng.standard_normal((k, n)).astype(dtype), requires_grad=True)
+        g = rng.standard_normal((m, n)).astype(dtype)
+        tape = GradTape()
+        with tape:
+            loss = T.sum(T.mul(T.matmul(a, b), Tensor(g)))
+        T.backward(tape, loss)
+        for grad, want in ((a.grad, g @ b.data.T), (b.grad, a.data.T @ g)):
+            assert grad.dtype == dtype and grad.flags.c_contiguous
+            assert grad.shape == want.shape and grad.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -210,8 +236,8 @@ def test_gelu_and_sigmoid_reference_points():
 @pytest.mark.parametrize("n", [1, 31, 4095, 4096])
 def test_float32_gelu_matches_the_float64_erf_gelu(n):
     # below 4,096 elements Phi comes from the table, from 4,096 on from the
-    # rational erf; each array also carries one point at or next to the table's
-    # ends at +-6, where the interpolation meets the clamp
+    # tanh form; each array also carries one point at or next to +-6, where
+    # the table's interpolation and the tanh form's argument meet their clamp
     grid = np.linspace(-12.0, 12.0, n).astype(np.float32)
     for edge in (None, -6.0001, -6.0, -5.9999, 5.9999, 6.0, 6.0001):
         x = grid.copy()
@@ -236,6 +262,44 @@ def test_float32_gelu_matches_the_float64_erf_gelu(n):
         T.backward(tape, loss)
         assert y.data[0] == np.inf and y.data[1] == 0.0 and np.isnan(y.data[2])
         assert x.grad[0] == 1.0 and x.grad[1] == 0.0
+
+
+def test_float32_gelu_tanh_path_holds_the_bound_densely():
+    # 2^20 points on [-12, 12], the 16 float32 neighbours on each side of
+    # both ends of the tanh form's clamp, points 1e-4 to 1e-1 either side of
+    # them, and finite values large enough to overflow x * P(R^2)
+    big = float(np.finfo(np.float32).max)
+    pts = [1e30, -1e30, 1.7e38, -1.7e38, big, -big]
+    for edge in (-T._PHI_TANH_CLAMP, T._PHI_TANH_CLAMP):
+        up = down = np.float32(edge)
+        pts.append(up)
+        for _ in range(16):
+            up = np.nextafter(up, np.float32(np.inf))
+            down = np.nextafter(down, np.float32(-np.inf))
+            pts += [up, down]
+        pts += [edge + d for d in (-1e-1, -1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2, 1e-1)]
+    x = np.concatenate([np.linspace(-12.0, 12.0, 1 << 20), pts]).astype(np.float32)
+    assert x.size >= T._PHI_TANH_MIN_SIZE
+    got = T.gelu(Tensor(x)).data
+    x64 = x.astype(np.float64)
+    err = np.abs(got - exact_gelu(x64))
+    assert (err <= 2e-6 * np.maximum(1.0, np.abs(x64))).all()
+
+
+@pytest.mark.parametrize("n", [31, 4095, 4096, 1 << 20])
+def test_float32_gelu_gradient_matches_the_float64_erf_derivative(n):
+    # the float32 backward, g * (Phi + x pdf(x)) with the saved Phi of either
+    # path, against the float64 derivative; the gradient lies in [-0.17, 1.13],
+    # so an absolute bound: 5e-7, about twice the worst measured on [-12, 12]
+    # and [-40, 40] (2.4e-7 on the table path at n = 4,095, 1.7e-7 on the
+    # tanh form at n = 2^21, with numpy's default and baseline tanh kernels)
+    x = Tensor(np.linspace(-12.0, 12.0, n).astype(np.float32), requires_grad=True)
+    tape = GradTape()
+    with tape:
+        loss = T.sum(T.gelu(x))
+    T.backward(tape, loss)
+    assert x.grad.dtype == np.float32
+    assert (np.abs(x.grad - exact_gelu_grad(x.data)) <= 5e-7).all()
 
 
 def test_float64_gelu_is_the_libm_erf_gelu():
