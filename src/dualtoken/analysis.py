@@ -38,7 +38,6 @@ class CostEntry:
 @dataclass
 class CostReport:
     entries: list
-    resolution: int | None = None
 
     @property
     def total_params(self):
@@ -149,7 +148,7 @@ def count_flops(cfg: ModelConfig, resolution=None) -> CostReport:
     c3 = cfg.stages[2].channels
     entries.append(CostEntry(
         "head", macs=c3 * cfg.head_hidden + cfg.head_hidden * cfg.num_classes))
-    return CostReport(entries, resolution=resolution)
+    return CostReport(entries)
 
 
 def instrumented_macs(model: Model, resolution=None, seed=0):

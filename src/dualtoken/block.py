@@ -7,7 +7,7 @@ one-step downsampling)."""
 from __future__ import annotations
 
 from . import tensor as T
-from .layers import LayerNorm, Linear, MultiHeadAttention, init_params, prefixed
+from .layers import Conv2d, Layer, LayerNorm, Linear, MultiHeadAttention, prefixed
 
 
 def ds_plan(resolution, grid, n_convs):
@@ -36,7 +36,7 @@ def ds_conv_count(resolution, grid):
     return len(sizes)
 
 
-class ConvEncoder:
+class ConvEncoder(Layer):
     """Residual depthwise/pointwise convolution block:
     x + PW2(GELU(PW1(LN(DW(x)))))."""
 
@@ -44,34 +44,16 @@ class ConvEncoder:
 
     def __init__(self, rng, channels, kernel):
         c, e = channels, channels * self.EXPANSION
-        self.dw_w = init_params(rng, (kernel, kernel, 1, c), "trunc_normal")
-        self.dw_b = init_params(rng, (c,), "zeros")
-        self.ln = LayerNorm(rng, c)
-        self.pw1_w = init_params(rng, (1, 1, c, e), "trunc_normal")
-        self.pw1_b = init_params(rng, (e,), "zeros")
-        self.pw2_w = init_params(rng, (1, 1, e, c), "trunc_normal")
-        self.pw2_b = init_params(rng, (c,), "zeros")
+        self.dw = Conv2d(rng, kernel, c, c, stride=1, padding="same", groups=c)
+        self.norm = LayerNorm(rng, c)
+        self.pw1 = Conv2d(rng, 1, c, e, stride=1, padding=0, groups=1)
+        self.pw2 = Conv2d(rng, 1, e, c, stride=1, padding=0, groups=1)
 
     def __call__(self, x):
-        c = x.shape[-1]
-        y = T.conv2d(x, self.dw_w, self.dw_b, padding="same", groups=c)
-        y = self.ln(y)
-        y = T.conv2d(y, self.pw1_w, self.pw1_b)
-        y = T.gelu(y)
-        y = T.conv2d(y, self.pw2_w, self.pw2_b)
-        return T.add(x, y)
-
-    def named_params(self):
-        yield "dw.weight", self.dw_w
-        yield "dw.bias", self.dw_b
-        yield from prefixed("norm", self.ln.named_params())
-        yield "pw1.weight", self.pw1_w
-        yield "pw1.bias", self.pw1_b
-        yield "pw2.weight", self.pw2_w
-        yield "pw2.bias", self.pw2_b
+        return T.add(x, self.pw2(T.gelu(self.pw1(self.norm(self.dw(x))))))
 
 
-class WindowAttentionLocal:
+class WindowAttentionLocal(Layer):
     """Multi-head self-attention inside non-overlapping windows, plus the
     residual; the ablation alternative to the conv encoder."""
 
@@ -84,23 +66,21 @@ class WindowAttentionLocal:
         win = self.window
         if h % win or w % win:
             raise ValueError(f"feature map {h}x{w} not divisible by window {win}")
-        row_tensors = []
-        for wi in range(h // win):
-            rows = T.slice_axis(x, 0, wi * win, (wi + 1) * win)
-            col_outs = []
-            for wj in range(w // win):
-                block = T.slice_axis(rows, 1, wj * win, (wj + 1) * win)
-                tokens = T.reshape(block, (win * win, c))
-                out = T.add(tokens, self.attn(tokens))
-                col_outs.append(T.reshape(out, (win, win, c)))
-            row_tensors.append(T.concat(col_outs, axis=1))
-        return T.concat(row_tensors, axis=0)
-
-    def named_params(self):
-        yield from prefixed("attn", self.attn.named_params())
+        nh, nw, n = h // win, w // win, win * win
+        # window-major token rows: window i holds rows i*n to (i+1)*n
+        y = T.reshape(x, (nh, win, nw, win, c))
+        y = T.reshape(T.transpose(y, (0, 2, 1, 3, 4)), (h * w, c))
+        # the residual is added per window: one add over every row would sum
+        # the input gradient in another order
+        outs = []
+        for i in range(nh * nw):
+            tokens = T.slice_axis(y, 0, i * n, (i + 1) * n)
+            outs.append(T.add(tokens, self.attn(tokens)))
+        y = T.reshape(T.concat(outs, axis=0), (nh, nw, win, win, c))
+        return T.reshape(T.transpose(y, (0, 2, 1, 3, 4)), (h, w, c))
 
 
-class Downsampler:
+class Downsampler(Layer):
     """Reduce the local feature map to the g x g aggregation grid.
 
     kind 'step_wise': the ds_plan schedule (one avgpool, then conv+avgpool
@@ -111,12 +91,9 @@ class Downsampler:
     def __init__(self, rng, channels, kind, grid, resolution):
         self.kind = kind
         self.grid = grid
-        self.convs = []  # (weight, bias) of each 3x3 same-padding conv
-        if kind == "step_wise":
-            for _ in range(ds_conv_count(resolution, grid)):
-                w = init_params(rng, (3, 3, channels, channels), "trunc_normal")
-                b = init_params(rng, (channels,), "zeros")
-                self.convs.append((w, b))
+        n_convs = ds_conv_count(resolution, grid) if kind == "step_wise" else 0
+        self.convs = [Conv2d(rng, 3, channels, channels, stride=1, padding="same", groups=1)
+                      for _ in range(n_convs)]
 
     def __call__(self, x):
         g = self.grid
@@ -129,19 +106,19 @@ class Downsampler:
             sizes, final = ds_plan(y.shape[0], g, len(self.convs))
             if final < y.shape[0]:
                 y = T.avgpool2d(y, 2)
-            for w, b in self.convs[:len(sizes)]:
-                y = T.avgpool2d(T.conv2d(y, w, b, padding="same"), 2)
+            for conv in self.convs[:len(sizes)]:
+                y = T.avgpool2d(conv(y), 2)
         if y.shape[0] != g or y.shape[1] != g:
             y = T.bilinear_resize(y, g, g)
         return y
 
+    # the convs are a list, which the Layer walk does not enter
     def named_params(self):
-        for i, (w, b) in enumerate(self.convs):
-            yield f"conv{i}.weight", w
-            yield f"conv{i}.bias", b
+        for i, conv in enumerate(self.convs):
+            yield from prefixed(f"conv{i}", conv.named_params())
 
 
-class TokenMLP:
+class TokenMLP(Layer):
     """MLP on global tokens: channel-only (Linear-GELU-Linear, hidden = C) or
     the token-mixing variant (channel linear, transpose, token linear)."""
 
@@ -161,50 +138,37 @@ class TokenMLP:
         y = self.lin2(y)                   # token-axis linear
         return T.transpose(y)
 
-    def named_params(self):
-        yield from prefixed("lin1", self.lin1.named_params())
-        yield from prefixed("lin2", self.lin2.named_params())
 
-
-class FFN:
+class FFN(Layer):
     """Pre-norm residual feed-forward on flattened tokens."""
 
     def __init__(self, rng, channels, ratio):
         hidden = channels * ratio
-        self.ln = LayerNorm(rng, channels)
+        self.norm = LayerNorm(rng, channels)
         self.lin1 = Linear(rng, channels, hidden)
         self.lin2 = Linear(rng, hidden, channels)
 
     def __call__(self, x):
-        y = self.lin2(T.gelu(self.lin1(self.ln(x))))
+        y = self.lin2(T.gelu(self.lin1(self.norm(x))))
         return T.add(x, y)
 
-    def named_params(self):
-        yield from prefixed("norm", self.ln.named_params())
-        yield from prefixed("lin1", self.lin1.named_params())
-        yield from prefixed("lin2", self.lin2.named_params())
 
-
-class BiDimAttention:
+class BiDimAttention(Layer):
     """Gated spatial x channel reweighting with a residual:
     x + x * sigmoid(spatial gate) * sigmoid(channel gate)."""
 
     def __init__(self, rng, channels):
-        self.spatial_gate = Linear(rng, channels, 1)
-        self.channel_gate = Linear(rng, channels, channels)  # on the token mean
+        self.spatial = Linear(rng, channels, 1)
+        self.channel = Linear(rng, channels, channels)  # on the token mean
 
     def __call__(self, x):
-        s = T.sigmoid(self.spatial_gate(x))                      # N x 1
+        s = T.sigmoid(self.spatial(x))                           # N x 1
         pooled = T.mean(x, axis=0)                               # 1 x C
-        c = T.sigmoid(self.channel_gate(pooled))                 # 1 x C
+        c = T.sigmoid(self.channel(pooled))                      # 1 x C
         return T.add(x, T.mul(T.mul(x, s), c))
 
-    def named_params(self):
-        yield from prefixed("spatial", self.spatial_gate.named_params())
-        yield from prefixed("channel", self.channel_gate.named_params())
 
-
-class DualTokenBlock:
+class DualTokenBlock(Layer):
     """One block: local branch, token module (downsample, aggregate, fuse,
     broadcast), dual-token fusion, FFN, bi-dimensional attention, and the
     residual global-token update."""
@@ -283,6 +247,8 @@ class DualTokenBlock:
             y = self.bidim(y)
         return T.reshape(y, (h, w, c)), T.add(g, g_new), attn
 
+    # the checkpoint names the local branch by its kind and nests the fusion
+    # layers under "fuse", so this walk is not the Layer one
     def named_params(self):
         if self.local is not None:
             kind = "conv_encoder" if isinstance(self.local, ConvEncoder) else "window_local"

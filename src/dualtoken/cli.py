@@ -65,12 +65,17 @@ def _check(check, ok, expected, got, tol):
 
 def _load_image(args, cfg):
     """The --image array, or a random image drawn from --seed at the
-    config's resolution, as float32."""
+    config's resolution, as float32. The array must hold integers or real
+    floats: a bool, complex, string, date or structured array is refused."""
     if args.image:
         image = np.load(args.image)
         if not isinstance(image, np.ndarray):
             raise ValueError(f"--image {args.image} holds a {type(image).__name__}, "
                              "not one array")
+        if not (np.issubdtype(image.dtype, np.integer)
+                or np.issubdtype(image.dtype, np.floating)):
+            raise ValueError(f"--image {args.image} holds {image.dtype} values, "
+                             "not real numbers")
         return image.astype(np.float32)
     rng = np.random.default_rng(args.seed)
     return rng.standard_normal(

@@ -1,5 +1,5 @@
-"""Parameterized layers: linear projections, multi-head attention, and
-parameter initialization.
+"""Parameterized layers: linear projections, convolutions, layer norm,
+multi-head attention, and parameter initialization.
 
 Each layer draws its own parameters from the generator its constructor is
 given, in a fixed order, so one seed always yields the same weights."""
@@ -45,7 +45,21 @@ def init_params(rng, shape, scheme="trunc_normal"):
     return Tensor(data, requires_grad=True)
 
 
-class Linear:
+class Layer:
+    """A layer whose parameters are its attributes, listed by `named_params`
+    in the order its constructor set them: a `Tensor` under its own name, a
+    `Layer` under its name as a prefix. Every other attribute (a size, a
+    kind, None, the config) holds no parameter."""
+
+    def named_params(self):
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                yield name, value
+            elif isinstance(value, Layer):
+                yield from prefixed(name, value.named_params())
+
+
+class Linear(Layer):
     """x @ W + b with W of shape Cin x Cout."""
 
     def __init__(self, rng, cin, cout, bias=True):
@@ -68,13 +82,23 @@ class Linear:
             y = T.add(y, self.bias)
         return y
 
-    def named_params(self):
-        yield "weight", self.weight
-        if self.bias is not None:
-            yield "bias", self.bias
+
+class Conv2d(Layer):
+    """Cross-correlation of an H x W x Cin map with kernel x kernel x
+    Cin/groups x Cout weights, plus a bias. `padding` is a width or
+    "same"; `groups` is 1 (dense) or Cin = Cout (depthwise)."""
+
+    def __init__(self, rng, kernel, cin, cout, stride, padding, groups):
+        self.weight = init_params(rng, (kernel, kernel, cin // groups, cout), "trunc_normal")
+        self.bias = init_params(rng, (cout,), "zeros")
+        self.stride, self.padding, self.groups = stride, padding, groups
+
+    def __call__(self, x):
+        return T.conv2d(x, self.weight, self.bias, stride=self.stride,
+                        padding=self.padding, groups=self.groups)
 
 
-class LayerNorm:
+class LayerNorm(Layer):
     def __init__(self, rng, channels):
         self.gamma = init_params(rng, (channels,), "ones")
         self.beta = init_params(rng, (channels,), "zeros")
@@ -82,12 +106,8 @@ class LayerNorm:
     def __call__(self, x):
         return T.layernorm(x, self.gamma, self.beta)
 
-    def named_params(self):
-        yield "gamma", self.gamma
-        yield "beta", self.beta
 
-
-class MultiHeadAttention:
+class MultiHeadAttention(Layer):
     """Scaled dot-product attention with separate Q/K/V/out projections."""
 
     def __init__(self, rng, channels, heads):
@@ -122,12 +142,6 @@ class MultiHeadAttention:
         if need_weights:
             return out, np.mean(weights, axis=0)
         return out
-
-    def named_params(self):
-        for name, sub in (("q_proj", self.q_proj), ("k_proj", self.k_proj),
-                          ("v_proj", self.v_proj), ("out_proj", self.out_proj)):
-            for n, p in sub.named_params():
-                yield f"{name}.{n}", p
 
 
 def prefixed(prefix, items):

@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .block import DualTokenBlock
 from .container import Reader, write_tensors
-from .layers import LayerNorm, Linear, init_params, prefixed
+from .layers import Conv2d, Layer, LayerNorm, Linear, init_params, prefixed
 
 
 def check_positive_int(name, value):
@@ -85,6 +85,8 @@ class ModelConfig:
     head_hidden: int = 1280
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if not isinstance(self.stages, (list, tuple)):
             raise ValueError(f"stages must be a list of 3 stage configs, got {self.stages!r}")
         # each stage is rebuilt, so one changed in place is validated again
@@ -178,43 +180,40 @@ PRESET_NAMES = ("dualtoken_t", "dualtoken_t_mix", "dualtoken_s",
                 "dualtoken_s_mix", "toy", "toy_grad")
 
 
-class Stem:
+class Stem(Layer):
     """Three stride-2 3x3 convolutions (3 -> C1/2 -> C1/2 -> C1) with
     LN + GELU between; total stride 8."""
 
     def __init__(self, rng, out_channels):
         mid = max(out_channels // 2, 1)
         plan = [(3, mid), (mid, mid), (mid, out_channels)]
-        self.convs = []  # (weight, bias) of each stride-2 conv
-        self.norms = []
-        for i, (cin, cout) in enumerate(plan):
-            w = init_params(rng, (3, 3, cin, cout), "trunc_normal")
-            b = init_params(rng, (cout,), "zeros")
-            self.convs.append((w, b))
-            if i < 2:
-                self.norms.append(LayerNorm(rng, cout))
+        # a LayerNorm draws nothing, so where the norms are built moves no
+        # drawn weight
+        self.convs = [Conv2d(rng, 3, cin, cout, stride=2, padding=1, groups=1)
+                      for cin, cout in plan]
+        self.norms = [LayerNorm(rng, mid) for _ in range(2)]
 
     def __call__(self, x):
-        for i, (w, b) in enumerate(self.convs):
-            x = T.conv2d(x, w, b, stride=2, padding=1)
+        for i, conv in enumerate(self.convs):
+            x = conv(x)
             if i < 2:
                 x = T.gelu(self.norms[i](x))
         return x
 
+    # the convs and norms are lists, which the Layer walk does not enter
     def named_params(self):
-        for i, (w, b) in enumerate(self.convs):
-            yield f"conv{i}.weight", w
-            yield f"conv{i}.bias", b
-        for i, ln in enumerate(self.norms):
-            yield from prefixed(f"norm{i}", ln.named_params())
+        for i, conv in enumerate(self.convs):
+            yield from prefixed(f"conv{i}", conv.named_params())
+        for i, norm in enumerate(self.norms):
+            yield from prefixed(f"norm{i}", norm.named_params())
 
 
-class MergePatch:
+class MergePatch(Layer):
     """2x2 neighborhood concatenation (4C channels), LN, linear to the next
     stage's width."""
 
     def __init__(self, rng, cin, cout):
-        self.ln = LayerNorm(rng, 4 * cin)
+        self.norm = LayerNorm(rng, 4 * cin)
         self.proj = Linear(rng, 4 * cin, cout)
 
     def __call__(self, x):
@@ -224,15 +223,11 @@ class MergePatch:
         y = T.reshape(x, (h // 2, 2, w // 2, 2, c))
         y = T.transpose(y, (0, 2, 1, 3, 4))
         y = T.reshape(y, (h // 2 * (w // 2), 4 * c))
-        y = self.proj(self.ln(y))
+        y = self.proj(self.norm(y))
         return T.reshape(y, (h // 2, w // 2, self.proj.cout))
 
-    def named_params(self):
-        yield from prefixed("norm", self.ln.named_params())
-        yield from prefixed("proj", self.proj.named_params())
 
-
-class StageTransition:
+class StageTransition(Layer):
     """The trunk step between two stages: a merge-patch on the map and a
     bias-free per-token linear on the global tokens."""
 
@@ -243,12 +238,8 @@ class StageTransition:
     def __call__(self, x, g):
         return self.merge(x), self.proj(g), None
 
-    def named_params(self):
-        yield from prefixed("merge", self.merge.named_params())
-        yield from prefixed("proj", self.proj.named_params())
 
-
-class Model:
+class Model(Layer):
     def __init__(self, rng, cfg):
         # rebuilt, so a config changed in place is validated again
         self.cfg = cfg = replace(cfg)
@@ -323,6 +314,8 @@ class Model:
         y = T.gelu(self.head_lin1(pooled))
         return T.reshape(self.head_lin2(y), (self.cfg.num_classes,))
 
+    # the checkpoint puts every transition's token projection before the
+    # stages, and names the head layers under "head"
     def named_params(self):
         yield from prefixed("stem", self.stem.named_params())
         yield "global_tokens.init", self.g_init

@@ -63,8 +63,8 @@ def test_one_step_downsampler_is_a_single_pool(bilinear_calls):
 
 def test_conv_encoder_residual_identity_with_zeroed_projection():
     enc = ConvEncoder(np.random.default_rng(44), 6, 3)
-    enc.pw2_w.data[:] = 0.0
-    enc.pw2_b.data[:] = 0.0
+    enc.pw2.weight.data[:] = 0.0
+    enc.pw2.bias.data[:] = 0.0
     x = np.random.default_rng(45).standard_normal((5, 5, 6)).astype(np.float32)
     y = enc(Tensor(x)).data
     assert np.abs(y - x).max() == 0.0

@@ -190,6 +190,14 @@ def test_config_with_a_mistyped_alpha_is_one_fail_line(tmp_path):
     assert_one_fail_line(*run_process(["dump-config", "--config", str(config)]))
 
 
+def test_count_with_a_config_name_that_is_not_a_string_is_one_fail_line(tmp_path):
+    config = tmp_path / "name.json"
+    config.write_text(json.dumps(dict(preset("toy").to_dict(), name={"a": 1})))
+    code, out, err = run_process(["count", "--config", str(config)])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError") and "name_must_be_a_string" in out
+
+
 def test_train_with_a_nan_learning_rate_is_one_fail_line():
     code, out, err = run_process(["train", "--preset", "toy", "--steps", "3",
                                   "--lr", "nan"])
@@ -224,6 +232,19 @@ def test_forward_with_an_image_that_is_not_one_array_is_one_fail_line(name, fail
     code, out, err = run_process(["forward", "--preset", "toy", "--image", str(path)])
     assert_one_fail_line(code, out, err)
     assert out.startswith(fail)
+
+
+@pytest.mark.parametrize("dtype", ["datetime64[D]", "complex64", "<U3", "bool",
+                                   [("x", "<f4")]],
+                         ids=["datetime", "complex", "string", "bool", "structured"])
+def test_forward_with_an_image_that_is_not_real_numbers_is_one_fail_line(dtype, tmp_path):
+    path = tmp_path / "image.npy"
+    fill = "1.5" if dtype == "<U3" else 0
+    np.save(path, np.full((32, 32, 3), fill, dtype=dtype))
+    code, out, err = run_process(["forward", "--preset", "toy", "--image", str(path)])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError")
+    assert str(np.dtype(dtype)).replace(" ", "_") in out
 
 
 @pytest.mark.parametrize("command", ["forward", "gen-data"])

@@ -125,6 +125,17 @@ def test_toy_tape_length_stays_within_budget():
     assert len(tape) <= 374
 
 
+def test_window_toy_tape_length_stays_within_budget():
+    # the window branch cuts its map into windows with one reshape/transpose
+    cfg = next(cfg for cfg in criterion_7_variants() if cfg.name == "window2")
+    model = build_model(cfg, seed=1)
+    tape = GradTape()
+    with tape:
+        logits, _ = model.forward(random_image(32), want_activations=False)
+        cross_entropy(logits, 3)
+    assert len(tape) <= 513
+
+
 def _toy_step_tape(model, label=3):
     tape = GradTape()
     with tape:
@@ -625,6 +636,12 @@ def test_config_structural_validation():
                                   *toy["stages"][1:]])
     with pytest.raises(ValueError, match="dw_kernel"):
         ModelConfig.from_dict(no_kernel)
+
+
+@pytest.mark.parametrize("name", [{"a": 1}, [1], 3, None], ids=["dict", "list", "int", "none"])
+def test_a_config_name_that_is_not_a_string_is_refused(name):
+    with pytest.raises(ValueError, match="name must be a string"):
+        ModelConfig.from_dict(dict(preset("toy").to_dict(), name=name))
 
 
 def test_a_config_changed_in_place_is_refused_at_build():
