@@ -92,8 +92,8 @@ class Downsampler(Layer):
         self.kind = kind
         self.grid = grid
         n_convs = ds_conv_count(resolution, grid) if kind == "step_wise" else 0
-        self.convs = [Conv2d(rng, 3, channels, channels, stride=1, padding="same", groups=1)
-                      for _ in range(n_convs)]
+        self.conv = [Conv2d(rng, 3, channels, channels, stride=1, padding="same", groups=1)
+                     for _ in range(n_convs)]
 
     def __call__(self, x):
         g = self.grid
@@ -103,19 +103,14 @@ class Downsampler(Layer):
             if h > g and h % g == 0:
                 y = T.avgpool2d(y, h // g)
         elif self.kind == "step_wise":
-            sizes, final = ds_plan(y.shape[0], g, len(self.convs))
+            sizes, final = ds_plan(y.shape[0], g, len(self.conv))
             if final < y.shape[0]:
                 y = T.avgpool2d(y, 2)
-            for conv in self.convs[:len(sizes)]:
+            for conv in self.conv[:len(sizes)]:
                 y = T.avgpool2d(conv(y), 2)
         if y.shape[0] != g or y.shape[1] != g:
             y = T.bilinear_resize(y, g, g)
         return y
-
-    # the convs are a list, which the Layer walk does not enter
-    def named_params(self):
-        for i, conv in enumerate(self.convs):
-            yield from prefixed(f"conv{i}", conv.named_params())
 
 
 class TokenMLP(Layer):

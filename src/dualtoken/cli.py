@@ -44,7 +44,6 @@ def _load_config(args):
         overrides["token_grid"] = args.grid
     if args.resolution is not None:
         overrides["input_resolution"] = args.resolution
-    # rebuilt rather than mutated, so the overridden config is validated again
     cfg = dataclasses.replace(cfg, **overrides)
     _err(f"config: {cfg.to_dict()}")
     return cfg
@@ -116,7 +115,6 @@ def cmd_forward(args):
 
 
 def cmd_gradcheck(args):
-    _err(f"seed: {args.seed}")
     suites = {"primitives": checks.gradcheck_primitives,
               "blocks": checks.gradcheck_blocks,
               "model": checks.gradcheck_model}
@@ -227,7 +225,6 @@ def build_parser():
     sp = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     sp.add_argument("--scope", choices=["primitives", "blocks", "model"],
                     required=True)
-    sp.add_argument("--seed", type=int, default=42)
     sp.set_defaults(fn=cmd_gradcheck)
 
     sp = sub.add_parser("train", help="toy training run on synthetic data")

@@ -48,8 +48,9 @@ def init_params(rng, shape, scheme="trunc_normal"):
 class Layer:
     """A layer whose parameters are its attributes, listed by `named_params`
     in the order its constructor set them: a `Tensor` under its own name, a
-    `Layer` under its name as a prefix. Every other attribute (a size, a
-    kind, None, the config) holds no parameter."""
+    `Layer` under its name as a prefix, and item i of a list of layers under
+    its name and i ("conv0"). Every other attribute (a size, a kind, None,
+    the config) holds no parameter."""
 
     def named_params(self):
         for name, value in vars(self).items():
@@ -57,6 +58,9 @@ class Layer:
                 yield name, value
             elif isinstance(value, Layer):
                 yield from prefixed(name, value.named_params())
+            elif isinstance(value, list):
+                for i, layer in enumerate(value):
+                    yield from prefixed(f"{name}{i}", layer.named_params())
 
 
 class Linear(Layer):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import MISSING, dataclass, field, asdict, replace
+from dataclasses import MISSING, dataclass, asdict
 
 import numpy as np
 
@@ -21,7 +21,7 @@ def check_positive_int(name, value):
         raise ValueError(f"{name} must be a positive int, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageConfig:
     blocks: int
     channels: int
@@ -33,6 +33,9 @@ class StageConfig:
             check_positive_int(f"stage {name}", getattr(self, name))
         if self.dw_kernel is not None:
             check_positive_int("stage dw_kernel", self.dw_kernel)
+            if self.dw_kernel % 2 == 0:
+                # a "same" convolution centres an odd kernel only
+                raise ValueError(f"stage dw_kernel must be odd, got {self.dw_kernel}")
 
     @classmethod
     def from_dict(cls, d):
@@ -66,10 +69,13 @@ _KINDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """A model's architecture, checked once when it is made. It is frozen:
+    `dataclasses.replace` makes a changed copy, which is checked in turn."""
+
     name: str = "custom"
-    stages: list = field(default_factory=list)  # exactly 3 StageConfigs
+    stages: tuple = ()  # exactly 3 StageConfigs, or dicts of their fields
     token_grid: int = 7
     alpha: float = 0.1
     mlp_kind: str = "normal"
@@ -89,9 +95,9 @@ class ModelConfig:
             raise ValueError(f"name must be a string, got {self.name!r}")
         if not isinstance(self.stages, (list, tuple)):
             raise ValueError(f"stages must be a list of 3 stage configs, got {self.stages!r}")
-        # each stage is rebuilt, so one changed in place is validated again
-        self.stages = [StageConfig.from_dict(asdict(s) if isinstance(s, StageConfig) else s)
-                       for s in self.stages]
+        object.__setattr__(self, "stages", tuple(
+            s if isinstance(s, StageConfig) else StageConfig.from_dict(s)
+            for s in self.stages))
         if len(self.stages) != 3:
             raise ValueError(f"expected exactly 3 stages, got {len(self.stages)}")
         for name in ("input_resolution", "num_classes", "head_hidden", "token_grid",
@@ -144,40 +150,32 @@ class ModelConfig:
         return cls.from_dict(json.loads(text))
 
 
+_TINY = (StageConfig(2, 48, 2, 5), StageConfig(6, 96, 4, 7), StageConfig(4, 192, 8, None))
+_SMALL = (StageConfig(2, 64, 2, 5), StageConfig(6, 128, 4, 7), StageConfig(6, 256, 8, None))
+
+# the named architectures: the paper's Tiny and Small, each with either MLP,
+# and two toy scales for the tests
+PRESETS = {cfg.name: cfg for cfg in (
+    ModelConfig("dualtoken_t", _TINY),
+    ModelConfig("dualtoken_t_mix", _TINY, mlp_kind="mix"),
+    ModelConfig("dualtoken_s", _SMALL),
+    ModelConfig("dualtoken_s_mix", _SMALL, mlp_kind="mix"),
+    ModelConfig("toy", (StageConfig(1, 8, 2, 3), StageConfig(1, 16, 4, 3),
+                        StageConfig(1, 32, 8, None)),
+                token_grid=2, num_classes=8, input_resolution=32, head_hidden=64),
+    # small enough for finite-difference checking
+    ModelConfig("toy_grad", (StageConfig(1, 4, 2, 3), StageConfig(1, 4, 2, 3),
+                             StageConfig(1, 4, 2, None)),
+                token_grid=2, num_classes=4, input_resolution=32, head_hidden=8),
+)}
+PRESET_NAMES = tuple(PRESETS)
+
+
 def preset(name):
-    """Named architecture configurations (Tiny/Small plus toy test scales)."""
-    if name in ("dualtoken_t", "dualtoken_t_mix"):
-        cfg = ModelConfig(
-            name=name,
-            stages=[StageConfig(2, 48, 2, 5), StageConfig(6, 96, 4, 7),
-                    StageConfig(4, 192, 8, None)],
-            mlp_kind="mix" if name.endswith("_mix") else "normal")
-    elif name in ("dualtoken_s", "dualtoken_s_mix"):
-        cfg = ModelConfig(
-            name=name,
-            stages=[StageConfig(2, 64, 2, 5), StageConfig(6, 128, 4, 7),
-                    StageConfig(6, 256, 8, None)],
-            mlp_kind="mix" if name.endswith("_mix") else "normal")
-    elif name == "toy":
-        cfg = ModelConfig(
-            name=name,
-            stages=[StageConfig(1, 8, 2, 3), StageConfig(1, 16, 4, 3),
-                    StageConfig(1, 32, 8, None)],
-            token_grid=2, num_classes=8, input_resolution=32, head_hidden=64)
-    elif name == "toy_grad":
-        # small enough for finite-difference checking
-        cfg = ModelConfig(
-            name=name,
-            stages=[StageConfig(1, 4, 2, 3), StageConfig(1, 4, 2, 3),
-                    StageConfig(1, 4, 2, None)],
-            token_grid=2, num_classes=4, input_resolution=32, head_hidden=8)
-    else:
+    """The preset config named `name`; configs are frozen, so it is shared."""
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
-    return cfg
-
-
-PRESET_NAMES = ("dualtoken_t", "dualtoken_t_mix", "dualtoken_s",
-                "dualtoken_s_mix", "toy", "toy_grad")
+    return PRESETS[name]
 
 
 class Stem(Layer):
@@ -189,23 +187,14 @@ class Stem(Layer):
         plan = [(3, mid), (mid, mid), (mid, out_channels)]
         # a LayerNorm draws nothing, so where the norms are built moves no
         # drawn weight
-        self.convs = [Conv2d(rng, 3, cin, cout, stride=2, padding=1, groups=1)
-                      for cin, cout in plan]
-        self.norms = [LayerNorm(rng, mid) for _ in range(2)]
+        self.conv = [Conv2d(rng, 3, cin, cout, stride=2, padding=1, groups=1)
+                     for cin, cout in plan]
+        self.norm = [LayerNorm(rng, mid) for _ in range(2)]
 
     def __call__(self, x):
-        for i, conv in enumerate(self.convs):
-            x = conv(x)
-            if i < 2:
-                x = T.gelu(self.norms[i](x))
-        return x
-
-    # the convs and norms are lists, which the Layer walk does not enter
-    def named_params(self):
-        for i, conv in enumerate(self.convs):
-            yield from prefixed(f"conv{i}", conv.named_params())
-        for i, norm in enumerate(self.norms):
-            yield from prefixed(f"norm{i}", norm.named_params())
+        for conv, norm in zip(self.conv, self.norm):
+            x = T.gelu(norm(conv(x)))
+        return self.conv[2](x)
 
 
 class MergePatch(Layer):
@@ -241,8 +230,7 @@ class StageTransition(Layer):
 
 class Model(Layer):
     def __init__(self, rng, cfg):
-        # rebuilt, so a config changed in place is validated again
-        self.cfg = cfg = replace(cfg)
+        self.cfg = cfg
         c1 = cfg.stages[0].channels
         self.stem = Stem(rng, c1)
         n_g = cfg.global_token_count

@@ -444,7 +444,9 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
     if padding == "same":
         if stride != 1:
             raise ValueError("'same' padding requires stride 1")
-        ph, pw = (kh - 1) // 2, (kw - 1) // 2
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ValueError(f"'same' padding requires an odd kernel, got {kh}x{kw}")
+        ph, pw = kh // 2, kw // 2
     else:
         ph = pw = int(padding)
     if not (groups == 1 or groups == cin == cout):

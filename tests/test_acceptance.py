@@ -2,6 +2,7 @@
 machine-readable PASS/FAIL line (visible with `pytest -s` or on failure)."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def test_criterion_6_shape_invariants(bilinear_calls):
         problems.append("stage-3 skip")
     # interpolation fallback preserves constants exactly (256^2 stage 1: 32 -> 7)
     ds = Downsampler(np.random.default_rng(0), 4, "step_wise", 7, 32)
-    ds.convs = []     # pooling-only path isolates the interpolation step
+    ds.conv = []      # pooling-only path isolates the interpolation step
     y = ds(Tensor(np.full((32, 32, 4), 0.625, np.float32)))
     if not (bilinear_calls == [(16, 16)] and (y.data == np.float32(0.625)).all()):
         problems.append("constant preservation under interpolation")
@@ -149,11 +150,7 @@ def test_criterion_6_shape_invariants(bilinear_calls):
 def _variant(name, **overrides):
     # the toy preset is wide enough that finite differences at the pinned
     # 1e-5 step stay below tolerance (toy_grad's curvature is too sharp)
-    cfg = preset("toy")
-    cfg.name = name
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return replace(preset("toy"), name=name, **overrides)
 
 
 def criterion_7_variants():
@@ -187,8 +184,7 @@ def test_criterion_7_ablation_parity():
         except Exception as exc:
             problems.append(f"{cfg.name}: {type(exc).__name__} {exc}")
     # window size 7 at the published resolution (stage maps 28/14 divisible)
-    big = preset("dualtoken_t_mix")
-    big.local_kind = "window_msa"
+    big = replace(preset("dualtoken_t_mix"), local_kind="window_msa")
     logits, _ = build_model(big, seed=1).forward(
         Tensor(rng.standard_normal((224, 224, 3)).astype(np.float32)),
         want_activations=False)
@@ -256,9 +252,8 @@ def test_criterion_9_artifact_round_trips(tmp_path):
 
 
 def test_criterion_10_attention_map_pipeline():
-    cfg = preset("toy")
-    cfg.input_resolution = 64
-    cfg.token_grid = 7          # the published aggregation grid
+    # the published aggregation grid
+    cfg = replace(preset("toy"), input_resolution=64, token_grid=7)
     model = build_model(cfg, seed=13)
     img = np.random.default_rng(14).standard_normal((64, 64, 3)).astype(np.float32)
     problems = []

@@ -7,10 +7,13 @@ from dualtoken import analysis
 from dualtoken.analysis import (TABLE_TARGETS, count_flops, count_params,
                                 export_heatmap, extract_attention_map,
                                 instrumented_macs, read_heatmap_csv, top_cells)
+from dualtoken.block import DualTokenBlock
 from dualtoken.layers import Linear
-from dualtoken.model import build_model, preset
+from dualtoken.model import PRESET_NAMES, build_model, preset
 from dualtoken.tensor import Tensor, count_macs
 from dualtoken.tensor import matmul
+
+from test_acceptance import criterion_7_variants
 
 
 def test_linear_parameter_arithmetic():
@@ -54,6 +57,55 @@ def test_analytic_macs_equal_instrumented_forward_exactly(name):
     analytic = count_flops(cfg).total_macs
     executed = instrumented_macs(model)
     assert analytic == executed
+
+
+# the block step that computes each per-block count_flops path
+_BLOCK_PATHS = [("downsample", "downsample"), ("global_aggregate", "aggregate"),
+                ("fuse_global_tokens", "fuse"), ("global_broadcast", "broadcast"),
+                ("ffn", "ffn"), ("bidim", "bidim")]
+
+
+def _executed_macs_per_path(model):
+    """The MACs of one forward of `model`, by the count_flops path whose
+    callable ran them; each callable is wrapped on its instance. Paths that
+    ran none are left out."""
+    macs = {}
+
+    def wrap(owner, attr, path):
+        call = getattr(owner, attr)
+        if call is None:  # a block without bi-dimensional attention
+            return
+
+        def counted(*args, **kwargs):
+            before = counter.total
+            out = call(*args, **kwargs)
+            macs[path] = macs.get(path, 0) + counter.total - before
+            return out
+        setattr(owner, attr, counted)
+
+    local = {"conv_encoder": "conv_encoder", "window_msa": "window_local"}[model.cfg.local_kind]
+    wrap(model, "stem", "stem")
+    for i, transition in enumerate(model.transitions):
+        wrap(transition, "merge", f"merge{i + 1}")
+        wrap(transition, "proj", f"global_tokens.proj{i}")
+    for path, step in model.trunk():
+        if isinstance(step, DualTokenBlock):
+            for attr, name in [("local_branch", local)] + _BLOCK_PATHS:
+                wrap(step, attr, f"{path}.{name}")
+    wrap(model, "head", "head")
+    side = model.cfg.input_resolution
+    image = np.random.default_rng(0).standard_normal((side, side, 3)).astype(np.float32)
+    with count_macs() as counter:
+        model.forward(Tensor(image), want_activations=False)
+    assert sum(macs.values()) == counter.total  # no MAC ran outside a path
+    return {path: n for path, n in macs.items() if n}
+
+
+@pytest.mark.parametrize("cfg", [preset(name) for name in PRESET_NAMES] + criterion_7_variants(),
+                         ids=lambda cfg: cfg.name)
+def test_every_count_flops_path_equals_its_executed_macs(cfg):
+    want = {e.path: e.macs for e in count_flops(cfg).entries if e.macs}
+    assert _executed_macs_per_path(build_model(cfg, seed=0)) == want
 
 
 def test_analytic_macs_track_resolution():

@@ -198,6 +198,24 @@ def test_count_with_a_config_name_that_is_not_a_string_is_one_fail_line(tmp_path
     assert out.startswith("FAIL ValueError") and "name_must_be_a_string" in out
 
 
+def test_count_with_an_even_dw_kernel_is_one_fail_line(tmp_path):
+    # before the check, count printed the MACs of a model whose forward fails
+    toy = preset("toy").to_dict()
+    config = tmp_path / "even.json"
+    config.write_text(json.dumps(dict(toy, stages=[dict(toy["stages"][0], dw_kernel=4),
+                                                   *toy["stages"][1:]])))
+    code, out, err = run_process(["count", "--config", str(config)])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError") and "dw_kernel_must_be_odd" in out
+
+
+def test_gradcheck_takes_no_seed(capsys):
+    # every suite seeds itself, so a --seed would change nothing
+    code, out, err = run(["gradcheck", "--scope", "primitives", "--seed", "1"], capsys)
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL UsageError") and "--seed" in out
+
+
 def test_train_with_a_nan_learning_rate_is_one_fail_line():
     code, out, err = run_process(["train", "--preset", "toy", "--steps", "3",
                                   "--lr", "nan"])

@@ -5,6 +5,7 @@ import hashlib
 import struct
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -70,17 +71,15 @@ def test_forward_is_deterministic_and_build_is_seeded():
 
 
 def test_off_grid_resolution_uses_the_interpolation_fallback(bilinear_calls):
-    cfg = preset("toy")
-    cfg.input_resolution = 64
-    cfg.token_grid = 3   # stage maps 8/4/2 never pool exactly to 3x3
+    # stage maps 8/4/2 never pool exactly to 3x3
+    cfg = replace(preset("toy"), input_resolution=64, token_grid=3)
     model = build_model(cfg, seed=5)
     logits, _ = model.forward(random_image(64, seed=6))
     assert np.isfinite(logits.data).all()
     assert bilinear_calls
     # with grid 2 the same 8/4/2 ladder pools exactly, no interpolation
     bilinear_calls.clear()
-    on_grid = preset("toy")
-    on_grid.input_resolution = 64
+    on_grid = replace(preset("toy"), input_resolution=64)
     build_model(on_grid, seed=5).forward(random_image(64, seed=6))
     assert bilinear_calls == []
 
@@ -99,8 +98,7 @@ def test_input_validation():
 def test_every_parameter_receives_gradient():
     # at 64^2 the last stage keeps 2x2 distinct tokens; a 1x1 stage-3 map
     # would make the aggregation softmax uniform and starve its Q/K grads
-    cfg = preset("toy_grad")
-    cfg.input_resolution = 64
+    cfg = replace(preset("toy_grad"), input_resolution=64)
     model = build_model(cfg, seed=9)
     img = random_image(64, seed=10)
     img.requires_grad = True
@@ -644,20 +642,28 @@ def test_a_config_name_that_is_not_a_string_is_refused(name):
         ModelConfig.from_dict(dict(preset("toy").to_dict(), name=name))
 
 
-def test_a_config_changed_in_place_is_refused_at_build():
-    changes = [(dict(alpha=1.5), "alpha"),
-               (dict(local_kind="window_msa", window=3), "divisible by the window"),
-               (dict(local_kind="conv"), "local_kind")]
-    for change, message in changes:
-        cfg = preset("toy")
-        for key, value in change.items():
-            setattr(cfg, key, value)
-        with pytest.raises(ValueError, match=message):
-            build_model(cfg)
-    cfg = preset("toy")
-    cfg.stages[1].heads = 3
+@pytest.mark.parametrize("kernel", [2, 4])
+def test_an_even_dw_kernel_is_refused(kernel):
+    toy = preset("toy").to_dict()
+    even = dict(toy, stages=[dict(toy["stages"][0], dw_kernel=kernel), *toy["stages"][1:]])
+    with pytest.raises(ValueError, match="dw_kernel must be odd"):
+        ModelConfig.from_dict(even)
+
+
+def test_a_config_is_frozen_and_replace_validates_the_copy():
+    # every block reads the model's config at each call, so a change in
+    # place would alter a built model without a check
+    model = build_model("toy")
+    for cfg, field, value in [(preset("toy"), "alpha", 0.5), (model.cfg, "alpha", 7.5),
+                              (model.cfg, "ffn_ratio", 2),
+                              (model.cfg, "global_mode", "normal_msa"),
+                              (preset("toy").stages[1], "heads", 3)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, field, value)
+    toy = preset("toy")
+    stages = (toy.stages[0], replace(toy.stages[1], heads=3), toy.stages[2])
     with pytest.raises(ValueError, match="not divisible by heads 3"):
-        build_model(cfg)
+        replace(toy, stages=stages)
 
 
 def test_preset_names_and_unknown_preset():

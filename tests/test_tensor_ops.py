@@ -142,6 +142,15 @@ def test_conv2d_rejects_a_strided_depthwise_conv():
     assert T.conv2d(x, w, b, padding=1, groups=4).shape == (6, 6, 4)
 
 
+@pytest.mark.parametrize("kh, kw", [(2, 2), (4, 4), (3, 2), (4, 3)])
+def test_conv2d_refuses_same_padding_with_an_even_kernel(kh, kw):
+    # an even kernel has no centre: "same" would return a smaller map
+    x = Tensor(np.zeros((5, 5, 4)))
+    w, b = Tensor(np.zeros((kh, kw, 1, 4))), Tensor(np.zeros(4))
+    with pytest.raises(ValueError, match="odd kernel"):
+        T.conv2d(x, w, b, padding="same", groups=4)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_avgpool2d_matches_naive_oracle(dtype):
     rng = np.random.default_rng(12)
