@@ -83,7 +83,8 @@ def _load_image(args, cfg):
 
 def cmd_count(args):
     cfg = _load_config(args)
-    params = analysis.count_params(build_model(cfg, seed=args.seed))
+    # only the parameters' sizes are read, so no seed is asked for
+    params = analysis.count_params(build_model(cfg))
     for line in params.lines():
         print(line)
     print(f"params_total {params.total_params}")
@@ -205,7 +206,6 @@ def build_parser():
         sp.add_argument("--preset", default="toy", choices=PRESET_NAMES)
         sp.add_argument("--config", default=None,
                         help="JSON model config (overrides --preset)")
-        sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--resolution", type=int, default=None)
         sp.add_argument("--local", choices=["conv", "window"], default=None)
         sp.add_argument("--mlp", choices=["normal", "mix"], default=None)
@@ -219,6 +219,7 @@ def build_parser():
 
     sp = sub.add_parser("forward", help="run one image and print logits stats")
     common(sp)
+    sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--image", default=None, help="path to an S x S x 3 .npy image")
     sp.set_defaults(fn=cmd_forward)
 
@@ -229,6 +230,7 @@ def build_parser():
 
     sp = sub.add_parser("train", help="toy training run on synthetic data")
     common(sp)
+    sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--steps", type=int, default=200)
     sp.add_argument("--lr", type=float, default=1e-3)
     sp.add_argument("--out", default=None)
@@ -236,6 +238,7 @@ def build_parser():
 
     sp = sub.add_parser("attnmap", help="export global-broadcast attention maps")
     common(sp)
+    sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--image", default=None)
     sp.add_argument("--query", default="mean")
     sp.add_argument("--out", required=True)

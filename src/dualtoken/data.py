@@ -32,6 +32,7 @@ def gen_synthetic(seed=42, n=800, classes=8, side=32):
     check_positive_int("side", side)
     if side % 8 != 0:
         raise ValueError(f"side {side} must be divisible by 8")
+    check_positive_int("classes", classes)
     if classes < 2:
         raise ValueError("need at least 2 classes")
     patch = max(side // 4, 4)

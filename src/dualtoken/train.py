@@ -16,6 +16,7 @@ to step; a moment pair that a caller puts into `moments` is copied in."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +68,9 @@ class TrainState:
     def __post_init__(self):
         if self.optimizer != "adamw":
             raise ValueError(f"optimizer must be adamw, got {self.optimizer!r}")
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
+        if (isinstance(self.lr, bool) or not isinstance(self.lr, numbers.Real)
+                or not (math.isfinite(self.lr) and self.lr >= 0)):
+            raise ValueError(f"lr must be a finite real number >= 0, got {self.lr!r}")
 
 
 # elements per update block: 128 KB in f32, so a block's operands stay in L2
@@ -197,6 +199,7 @@ def train_step(state, dataset, micro_batch=8):
     """One optimizer step: gradient accumulation over `micro_batch`
     consecutive samples (deterministic round-robin order). A non-finite
     value in the forward pass or the loss raises `TrainingDiverged`."""
+    check_positive_int("micro_batch", micro_batch)
     model = state.model
     params = list(model.named_params())
     for _, p in params:

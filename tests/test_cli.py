@@ -10,11 +10,15 @@ import sys
 import numpy as np
 import pytest
 
+import dualtoken
 from dualtoken import cli
 from dualtoken.analysis import count_flops
+from dualtoken.checks import MODEL_CHECK_PARAMS
 from dualtoken.model import preset
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# the directory that holds the package this process imported: src/ under the
+# tier-1 command, site-packages where the package is installed
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(dualtoken.__file__))
 
 
 def run(argv, capsys):
@@ -23,13 +27,18 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def run_process(argv):
-    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+def run_python(*args):
+    """Run a fresh interpreter on the package this process imported."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "dualtoken.cli", *argv],
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    return run_python("-m", "dualtoken.cli", *argv)
 
 
 def assert_one_fail_line(code, out, err):
@@ -214,6 +223,29 @@ def test_gradcheck_takes_no_seed(capsys):
     code, out, err = run(["gradcheck", "--scope", "primitives", "--seed", "1"], capsys)
     assert_one_fail_line(code, out, err)
     assert out.startswith("FAIL UsageError") and "--seed" in out
+
+
+@pytest.mark.parametrize("command", ["count", "dump-config"])
+def test_count_and_dump_config_take_no_seed(command, capsys):
+    # neither output depends on the weights' values
+    code, out, err = run([command, "--preset", "toy", "--seed", "1"], capsys)
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL UsageError") and "--seed" in out
+
+
+def test_a_child_process_imports_the_package_under_test():
+    code, out, err = run_python("-c", "import dualtoken; print(dualtoken.__file__)")
+    assert code == 0, err
+    assert out.splitlines() == [dualtoken.__file__]
+
+
+def test_gradcheck_model_scope_in_a_process_passes_every_probed_tensor():
+    code, out, err = run_process(["gradcheck", "--scope", "model"])
+    assert code == 0, err
+    # one PASS line per probed tensor, the image and each named parameter
+    want = [f"gradcheck_model.{name}" for name in ("input", *MODEL_CHECK_PARAMS)]
+    assert [line.split()[:2] for line in out.splitlines()] == [["PASS", w] for w in want]
+    assert len(want) == 15  # on toy
 
 
 def test_train_with_a_nan_learning_rate_is_one_fail_line():

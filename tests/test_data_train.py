@@ -64,6 +64,15 @@ def test_dataset_round_trip(tmp_path):
     assert (back.images == ds.images).all()
     assert (back.labels == ds.labels).all()
     assert back.classes == 8
+    for name in ("images", "labels"):
+        a, b = getattr(ds, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("classes", [2.5, 0, -1, True])
+def test_dataset_refuses_a_class_count_that_is_not_a_positive_int(classes):
+    with pytest.raises(ValueError, match="classes must be a positive int"):
+        gen_synthetic(n=4, classes=classes)
 
 
 def test_cross_entropy_reference_values():
@@ -140,6 +149,22 @@ def test_float64_state_round_trips_moments(tmp_path):
         lm, lv = loaded.moments[name]
         assert lm.dtype == lv.dtype == np.float64, name
         assert (lm == m).all() and (lv == v).all(), name
+
+
+def test_float32_state_round_trips_bit_for_bit(tmp_path):
+    state = TrainState(model=build_model("toy", seed=0), optimizer="adamw", lr=1e-3)
+    train_step(state, gen_synthetic(seed=0, n=2), micro_batch=2)
+    path = tmp_path / "state.dtvt"
+    save_state(state, path)
+    back = load_state(path, "toy", seed=1)
+    assert back.step == state.step and back.loss_history == state.loss_history
+    for (na, a), (nb, b) in zip(state.model.named_params(), back.model.named_params()):
+        assert na == nb and a.data.dtype == b.data.dtype == np.float32, na
+        assert a.data.tobytes() == b.data.tobytes(), na
+    assert back.moments.keys() == state.moments.keys()
+    for name, pair in state.moments.items():
+        for a, b in zip(pair, back.moments[name]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("key", ["meta.step", "meta.loss_history",
@@ -336,6 +361,20 @@ def test_train_state_rejects_bad_hyperparameters(kwargs):
     args = dict(model=build_model("toy_grad", seed=1), optimizer="adamw", lr=1e-3)
     with pytest.raises(ValueError):
         TrainState(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize("lr", [True, "0.1", 1j])
+def test_train_state_refuses_an_lr_that_is_not_a_real_number(lr):
+    with pytest.raises(ValueError, match="lr must be a finite real number"):
+        TrainState(model=build_model("toy_grad", seed=1), optimizer="adamw", lr=lr)
+
+
+@pytest.mark.parametrize("micro_batch", [-1, 0, 2.5, True])
+def test_train_step_refuses_a_micro_batch_that_is_not_a_positive_int(micro_batch):
+    state = TrainState(model=build_model("toy_grad", seed=1), optimizer="adamw", lr=1e-3)
+    with pytest.raises(ValueError, match="micro_batch must be a positive int"):
+        train_step(state, grad_dataset(n=4), micro_batch=micro_batch)
+    assert state.step == 0 and state.loss_history == [] and not state.moments
 
 
 def test_non_finite_parameters_raise_training_diverged():

@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+import dualtoken
+
+# the directory that holds the package this process imported
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(dualtoken.__file__))
 
 SCRIPT = """
 import sys
@@ -27,7 +30,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 def test_no_scipy_module_is_loaded():
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -297,6 +297,8 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     for (na, pa), (nb, pb) in zip(model.named_params(), other.named_params()):
         assert na == nb
         assert (pa.data == pb.data).all()
+        assert pa.data.dtype == pb.data.dtype, na
+        assert pa.data.tobytes() == pb.data.tobytes(), na
     img = random_image(32, seed=12)
     za, _ = model.forward(img, want_activations=False)
     zb, _ = other.forward(img, want_activations=False)
