@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block import ConvEncoder, ds_conv_count, ds_plan
+from .block import ConvEncoder, ds_plan
 from .model import Model, ModelConfig
 from .tensor import Tensor, count_macs
 
@@ -80,19 +80,16 @@ def _attn_macs(nq, nk, c):
     return 2 * nq * c * c + 2 * nk * c * c + 2 * nq * nk * c
 
 
-def count_flops(cfg: ModelConfig, resolution=None) -> CostReport:
-    """Analytic MAC counts per layer at the given input resolution."""
-    if resolution is None:
-        resolution = cfg.input_resolution
-    if resolution % 32 != 0:
-        raise ValueError(f"resolution {resolution} not divisible by 32")
+def count_flops(cfg: ModelConfig) -> CostReport:
+    """Analytic MAC counts per layer of a model built from `cfg`, at its
+    `input_resolution`, the only side such a model runs at."""
     entries = []
     g = cfg.token_grid
     t = g * g
     n_g = cfg.global_token_count
     c1 = cfg.stages[0].channels
     mid = max(c1 // 2, 1)
-    s = resolution
+    s = cfg.input_resolution
     stem = ((s // 2) ** 2 * 9 * 3 * mid
             + (s // 4) ** 2 * 9 * mid * mid
             + (s // 8) ** 2 * 9 * mid * c1)
@@ -100,10 +97,10 @@ def count_flops(cfg: ModelConfig, resolution=None) -> CostReport:
     for si in range(3):
         sc = cfg.stages[si]
         c = sc.channels
-        r = resolution // (8 << si)
+        r = cfg.stage_resolution(si)
         if si > 0:
             prev_c = cfg.stages[si - 1].channels
-            prev_r = resolution // (8 << (si - 1))
+            prev_r = cfg.stage_resolution(si - 1)
             entries.append(CostEntry(
                 f"merge{si}", macs=(prev_r // 2) ** 2 * 4 * prev_c * c))
             entries.append(CostEntry(
@@ -125,8 +122,7 @@ def count_flops(cfg: ModelConfig, resolution=None) -> CostReport:
                         f"{prefix}.window_local",
                         macs=nw * (4 * wn * c * c + 2 * wn * wn * c)))
                 if cfg.ds_kind == "step_wise":
-                    built = ds_conv_count(cfg.stage_resolution(si), g)
-                    sizes, _ = ds_plan(r, g, built)
+                    sizes, _ = ds_plan(r, g)
                     ds_macs = sum(sz * sz * 9 * c * c for sz in sizes)
                     entries.append(CostEntry(f"{prefix}.downsample", macs=ds_macs))
             entries.append(CostEntry(
@@ -151,12 +147,12 @@ def count_flops(cfg: ModelConfig, resolution=None) -> CostReport:
     return CostReport(entries)
 
 
-def instrumented_macs(model: Model, resolution=None, seed=0):
-    """Run one forward pass under the MAC counter and return the total."""
-    if resolution is None:
-        resolution = model.cfg.input_resolution
+def instrumented_macs(model: Model, seed=0):
+    """Run one forward pass of a random image drawn from `seed` at the
+    model's `input_resolution` under the MAC counter and return the total."""
+    side = model.cfg.input_resolution
     rng = np.random.default_rng(seed)
-    image = Tensor(rng.standard_normal((resolution, resolution, 3)).astype(np.float32))
+    image = Tensor(rng.standard_normal((side, side, 3)).astype(np.float32))
     with count_macs() as counter:
         model.forward(image, want_activations=False)
     return counter.total

@@ -10,30 +10,20 @@ from . import tensor as T
 from .layers import Conv2d, Layer, LayerNorm, Linear, MultiHeadAttention, prefixed
 
 
-def ds_plan(resolution, grid, n_convs):
-    """Pooling/conv schedule of the step-wise downsampler.
+def ds_plan(resolution, grid):
+    """Pooling/conv schedule of the step-wise downsampler for a map of side
+    `resolution`.
 
-    Returns (conv_input_sizes, final_size): one avgpool first, then up to
-    n_convs repetitions of conv-then-avgpool while halving stays on or above
-    the grid. A final_size != grid means the bilinear fallback kicks in.
+    Returns (conv_input_sizes, final_size): one avgpool first, then a
+    conv-then-avgpool for every further halving that stays on or above the
+    grid. A final_size != grid means the bilinear fallback kicks in.
     """
     sizes = []
     cur = resolution
-    first = True
-    while cur > grid and cur % 2 == 0 and cur // 2 >= grid:
-        if not first:
-            if len(sizes) >= n_convs:
-                break
-            sizes.append(cur)
+    while cur % 2 == 0 and cur // 2 >= grid:
+        sizes.append(cur)
         cur //= 2
-        first = False
-    return sizes, cur
-
-
-def ds_conv_count(resolution, grid):
-    """Number of 3x3 convs the step-wise downsampler needs for a stage."""
-    sizes, _ = ds_plan(resolution, grid, 10**9)
-    return len(sizes)
+    return sizes[1:], cur
 
 
 class ConvEncoder(Layer):
@@ -81,33 +71,29 @@ class WindowAttentionLocal(Layer):
 
 
 class Downsampler(Layer):
-    """Reduce the local feature map to the g x g aggregation grid.
-
-    kind 'step_wise': the ds_plan schedule (one avgpool, then conv+avgpool
-    repetitions); 'one_step': a single pooling; 'skip': identity. Whenever
-    the result misses the grid, bilinear resampling makes up the difference.
+    """Reduce the `resolution`-sided local feature map to the g x g grid on a
+    schedule fixed when it is built: an avgpool by `pool` unless it is 1, a
+    conv+avgpool by 2 per conv, then bilinear resampling if the grid is missed.
+    'step_wise' follows ds_plan; 'one_step' pools once by resolution // grid
+    when the grid divides the side; 'skip' neither pools nor convolves.
     """
 
     def __init__(self, rng, channels, kind, grid, resolution):
-        self.kind = kind
         self.grid = grid
-        n_convs = ds_conv_count(resolution, grid) if kind == "step_wise" else 0
+        sizes, self.pool = [], 1
+        if kind == "step_wise":
+            sizes, final = ds_plan(resolution, grid)
+            self.pool = 2 if final < resolution else 1
+        elif kind == "one_step" and resolution % grid == 0:
+            self.pool = resolution // grid
         self.conv = [Conv2d(rng, 3, channels, channels, stride=1, padding="same", groups=1)
-                     for _ in range(n_convs)]
+                     for _ in sizes]
 
     def __call__(self, x):
         g = self.grid
-        y = x
-        if self.kind == "one_step":
-            h = y.shape[0]
-            if h > g and h % g == 0:
-                y = T.avgpool2d(y, h // g)
-        elif self.kind == "step_wise":
-            sizes, final = ds_plan(y.shape[0], g, len(self.conv))
-            if final < y.shape[0]:
-                y = T.avgpool2d(y, 2)
-            for conv in self.conv[:len(sizes)]:
-                y = T.avgpool2d(conv(y), 2)
+        y = x if self.pool == 1 else T.avgpool2d(x, self.pool)
+        for conv in self.conv:
+            y = T.avgpool2d(conv(y), 2)
         if y.shape[0] != g or y.shape[1] != g:
             y = T.bilinear_resize(y, g, g)
         return y

@@ -17,10 +17,25 @@ from .model import check_positive_int
 
 @dataclass
 class SyntheticDataset:
+    """Labelled images, checked when made: at least one n x S x S x 3 image
+    and one integer label in [0, classes) per image."""
+
     images: np.ndarray   # n x S x S x 3, float32
     labels: np.ndarray   # n, int64 in [0, classes)
     classes: int
     seed: int
+
+    def __post_init__(self):
+        check_positive_int("classes", self.classes)
+        shape = np.shape(self.images)
+        if len(shape) != 4 or min(shape) < 1 or shape[1] != shape[2] or shape[3] != 3:
+            raise ValueError(f"images must be n x S x S x 3 with n, S >= 1, got {shape}")
+        labels = self.labels
+        if not (isinstance(labels, np.ndarray) and labels.shape == shape[:1]
+                and np.issubdtype(labels.dtype, np.integer)):
+            raise ValueError(f"labels must be an integer array of shape {shape[:1]}")
+        if labels.min() < 0 or labels.max() >= self.classes:
+            raise ValueError(f"labels must lie in [0, {self.classes})")
 
     def __len__(self):
         return len(self.labels)

@@ -250,8 +250,8 @@ class Model(Layer):
         self.head_lin2 = Linear(rng, cfg.head_hidden, cfg.num_classes)
 
     def forward(self, images, want_activations=True):
-        """Classify one S x S x 3 image: `stem`, then every step of `trunk()`
-        in order, then `head`.
+        """Classify one S x S x 3 image, S the config's `input_resolution`:
+        `stem`, then every step of `trunk()` in order, then `head`.
 
         Returns (logits, attention): the `num_classes` logits, and a dict in
         block order from each block's path ("stage1.block0", ...) to its
@@ -261,12 +261,9 @@ class Model(Layer):
         """
         if not isinstance(images, T.Tensor):
             raise ValueError(f"expected the image as a Tensor, got {type(images).__name__}")
-        if (len(images.shape) != 3 or images.shape[0] != images.shape[1]
-                or images.shape[2] != 3):
-            raise ValueError(f"expected a square S x S x 3 image, got {images.shape}")
-        s = images.shape[0]
-        if s % 32 != 0:
-            raise ValueError(f"input side {s} not divisible by 32")
+        s = self.cfg.input_resolution
+        if images.shape != (s, s, 3):
+            raise ValueError(f"expected a {s} x {s} x 3 image, got {images.shape}")
         x, g = self.stem(images), self.g_init
         attention = {}
         for path, step in self.trunk():

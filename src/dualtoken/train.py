@@ -34,19 +34,22 @@ class TrainingDiverged(RuntimeError):
 
 
 def cross_entropy(logits, label):
-    """-log softmax(logits)[label] as a differentiable scalar."""
-    k = logits.shape[-1]
-    if not 0 <= int(label) < k:
+    """-log softmax(logits)[label] as a differentiable scalar; `label` is an
+    int or a numpy integer, not a bool."""
+    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise ValueError(f"label must be an integer, got {label!r}")
+    label, k = int(label), logits.shape[-1]
+    if not 0 <= label < k:
         raise ValueError(f"label {label} out of range [0, {k})")
     z = logits.data
     if not np.isfinite(z).all():
         raise FloatingPointError("cross_entropy received non-finite logits")
     m = z.max()
     lse = m + np.log(np.exp(z - m).sum())
-    out = Tensor(np.asarray(lse - z[int(label)], dtype=z.dtype))
+    out = Tensor(np.asarray(lse - z[label], dtype=z.dtype))
     if T._trace(logits):
         probs = np.exp(z - lse)
-        def bwd(g, logits=logits, probs=probs, label=int(label)):
+        def bwd(g, logits=logits, probs=probs, label=label):
             gz = probs.copy()
             gz[label] -= 1.0
             T._accum(logits, g * gz, True)

@@ -11,7 +11,7 @@ from dualtoken.analysis import (PARAM_TOL, FLOP_TOL, TABLE_TARGETS,
                                 count_flops, count_params, export_heatmap,
                                 extract_attention_map, instrumented_macs,
                                 read_heatmap_csv, top_cells)
-from dualtoken.block import Downsampler, DualTokenBlock, ds_conv_count
+from dualtoken.block import Downsampler, DualTokenBlock, ds_plan
 from dualtoken.data import SyntheticDataset, gen_synthetic
 from dualtoken.gradcheck import grad_check
 from dualtoken.layers import MultiHeadAttention
@@ -49,8 +49,8 @@ def test_criterion_2_flop_counts():
     ok = True
     for name, (_, f_target) in sorted(TABLE_TARGETS.items()):
         cfg = preset(name)
-        analytic = count_flops(cfg, 224).total_macs
-        executed = instrumented_macs(build_model(cfg, seed=0), 224)
+        analytic = count_flops(cfg).total_macs
+        executed = instrumented_macs(build_model(cfg, seed=0))
         rel = abs(analytic - f_target) / f_target
         ok &= rel <= FLOP_TOL and analytic == executed
         lines.append(f"{name} {analytic / 1e9:.3f}G "
@@ -105,10 +105,10 @@ def test_criterion_6_shape_invariants(bilinear_calls):
     cfg = preset("dualtoken_t_mix")
     if [cfg.stage_resolution(i) for i in range(3)] != [28, 14, 7]:
         problems.append("stride ladder")
-    if (ds_conv_count(28, 7), ds_conv_count(14, 7)) != (1, 0):
+    if (ds_plan(28, 7)[0], ds_plan(14, 7)[0]) != ([14], []):
         problems.append("downsample schedule")
     last = DualTokenBlock(np.random.default_rng(0), cfg, 2)
-    if last.local is not None or last.ds.kind != "skip":
+    if last.local is not None or last.ds.conv or last.ds.pool != 1:
         problems.append("stage-3 skip")
     # interpolation fallback preserves constants exactly (256^2 stage 1: 32 -> 7)
     ds = Downsampler(np.random.default_rng(0), 4, "step_wise", 7, 32)

@@ -1,5 +1,7 @@
 """Cost accounting and attention-map extraction/export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ def test_published_cost_targets(name):
     p_target, f_target = TABLE_TARGETS[name]
     cfg = preset(name)
     params = count_params(build_model(cfg, seed=0)).total_params
-    macs = count_flops(cfg, 224).total_macs
+    macs = count_flops(cfg).total_macs
     assert abs(params - p_target) / p_target <= analysis.PARAM_TOL
     assert abs(macs - f_target) / f_target <= analysis.FLOP_TOL
 
@@ -109,12 +111,12 @@ def test_every_count_flops_path_equals_its_executed_macs(cfg):
 
 
 def test_analytic_macs_track_resolution():
-    cfg = preset("toy")
-    at32 = count_flops(cfg, 32).total_macs
-    at64 = count_flops(cfg, 64).total_macs
-    assert at64 > at32
-    model = build_model(cfg, seed=4)
-    assert instrumented_macs(model, resolution=64) == at64
+    at32 = preset("toy")
+    at64 = replace(at32, input_resolution=64)
+    assert count_flops(at64).total_macs > count_flops(at32).total_macs
+    for cfg in (at32, at64):
+        model = build_model(cfg, seed=4)
+        assert instrumented_macs(model) == count_flops(cfg).total_macs
 
 
 def test_cost_report_lines_are_printable():

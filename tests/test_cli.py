@@ -297,6 +297,22 @@ def test_forward_with_an_image_that_is_not_real_numbers_is_one_fail_line(dtype, 
     assert str(np.dtype(dtype)).replace(" ", "_") in out
 
 
+@pytest.mark.parametrize("command", ["forward", "attnmap"])
+def test_an_image_of_another_side_is_one_fail_line(command, tmp_path, capsys):
+    # toy is built for 32 x 32; a model runs only at the side it was built for
+    path = tmp_path / "image.npy"
+    np.save(path, np.zeros((64, 64, 3), np.float32))
+    argv = [command, "--preset", "toy", "--image", str(path)]
+    if command == "attnmap":
+        argv += ["--out", str(tmp_path / "maps")]
+    code, out, err = run_process(argv)
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError") and "32_x_32_x_3" in out
+    # a model built for the image's side runs it
+    code, out, _ = run(argv + ["--resolution", "64"], capsys)
+    assert code == 0 and "FAIL" not in out
+
+
 @pytest.mark.parametrize("command", ["forward", "gen-data"])
 def test_a_zero_resolution_is_one_fail_line(command, tmp_path):
     path = tmp_path / "data.dtvt"

@@ -75,9 +75,51 @@ def test_dataset_refuses_a_class_count_that_is_not_a_positive_int(classes):
         gen_synthetic(n=4, classes=classes)
 
 
+def _images(n=2, side=8, channels=3):
+    return np.zeros((n, side, side, channels), np.float32)
+
+
+@pytest.mark.parametrize("images, labels, classes, match", [
+    (_images(n=0), np.zeros(0, np.int64), 4, "n x S x S x 3 with n, S >= 1"),
+    (np.zeros((2, 8, 8), np.float32), np.zeros(2, np.int64), 4, "n x S x S x 3"),
+    (np.zeros((2, 8, 4, 3), np.float32), np.zeros(2, np.int64), 4, "n x S x S x 3"),
+    (_images(channels=4), np.zeros(2, np.int64), 4, "n x S x S x 3"),
+    (_images(), np.zeros(3, np.int64), 4, "labels must be"),
+    (_images(), np.zeros((2, 1), np.int64), 4, "labels must be"),
+    (_images(), np.zeros(2, np.float64), 4, "labels must be"),
+    (_images(), [0, 1], 4, "labels must be"),
+    (_images(), np.array([0, 4]), 4, r"labels must lie in \[0, 4\)"),
+    (_images(), np.array([-1, 0]), 4, r"labels must lie in \[0, 4\)"),
+    (_images(), np.zeros(2, np.int64), 0, "classes must be a positive int"),
+    (_images(), np.zeros(2, np.int64), 2.5, "classes must be a positive int"),
+    (_images(), np.zeros(2, np.int64), True, "classes must be a positive int"),
+], ids=["no_images", "rank_3", "not_square", "four_channels", "three_labels",
+        "labels_2d", "float_labels", "list_labels", "label_too_large",
+        "label_negative", "zero_classes", "fractional_classes", "bool_classes"])
+def test_dataset_refuses_what_evaluation_and_training_cannot_use(images, labels,
+                                                                 classes, match):
+    with pytest.raises(ValueError, match=match):
+        SyntheticDataset(images, labels, classes, 0)
+
+
+def test_dataset_of_one_class_is_accepted():
+    # load_dataset infers one class from all-zero labels
+    ds = SyntheticDataset(_images(), np.zeros(2, np.int64), 1, 0)
+    assert len(ds) == 2 and ds.classes == 1
+
+
+@pytest.mark.parametrize("label", [1.7, 1.0, True, np.bool_(True), "1", np.float64(1.0)],
+                         ids=["float", "whole_float", "bool", "numpy_bool", "str",
+                              "numpy_float"])
+def test_cross_entropy_refuses_a_label_that_is_not_an_integer(label):
+    with pytest.raises(ValueError, match="label must be an integer"):
+        cross_entropy(Tensor(np.zeros(4, np.float32)), label)
+
+
 def test_cross_entropy_reference_values():
     uniform = Tensor(np.zeros(8, np.float32))
     assert abs(cross_entropy(uniform, 3).item() - np.log(8.0)) <= 1e-6
+    assert cross_entropy(uniform, np.uint8(3)).item() == cross_entropy(uniform, 3).item()
     confident = Tensor(np.array([20.0] + [0.0] * 7, np.float32))
     assert cross_entropy(confident, 0).item() <= 1e-6
     with pytest.raises(ValueError):

@@ -90,6 +90,9 @@ def test_input_validation():
         model.forward(Tensor(np.zeros((32, 16, 3), np.float32)))
     with pytest.raises(ValueError):
         model.forward(Tensor(np.zeros((20, 20, 3), np.float32)))
+    # a model runs at the side it was built for, even one it could be built for
+    with pytest.raises(ValueError, match="32 x 32 x 3"):
+        model.forward(Tensor(np.zeros((64, 64, 3), np.float32)))
     # the ops take Tensors only, so an array is refused at the entrance
     with pytest.raises(ValueError, match="Tensor"):
         model.forward(np.zeros((32, 32, 3), np.float32))
