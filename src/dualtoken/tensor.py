@@ -5,6 +5,11 @@ Tensors wrap a contiguous numpy array (f32 or f64, channel-last for spatial
 data). Ops are plain functions of `Tensor`s, which they do not convert; while
 a GradTape is active and an input carries `requires_grad`, each op appends a
 backward closure to the tape.
+A record keeps no op output: the output's gradient lives in a `_Slot`
+(shape, dtype and `.grad`, no data), and the closure keeps the slots of the
+inputs that ops produced, the leaf inputs themselves, and only the arrays
+its backward reads, such as the other operand of a product. So an
+activation that no backward reads dies with its tensor.
 `backward()` replays the tape in reverse and consumes it: each record, with
 the arrays its closure saved, is released as soon as it has run.
 
@@ -43,9 +48,11 @@ _LN_EPS = 1e-6  # added to the variance under layernorm's square root
 
 
 class Tensor:
-    """A dense n-d array with an optional gradient buffer."""
+    """A dense n-d array with an optional gradient buffer. The gradient of a
+    tensor that an op recorded on a tape lives in its slot (see `_Slot`),
+    and its .grad stays None."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad=False):
         # fast path: ops hand over fresh C-contiguous float arrays (a 0-d
@@ -55,11 +62,14 @@ class Tensor:
             self.data = data
         else:
             arr = np.asarray(data)
+            if arr.dtype.kind == "c":
+                raise ValueError(f"Tensor data must be real, got {arr.dtype}")
             if arr.dtype not in _FLOATS:
                 arr = arr.astype(np.float32)
             self.data = np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = requires_grad
+        self._slot = None
 
     @property
     def shape(self):
@@ -109,6 +119,8 @@ class GradTape:
         return False
 
     def record(self, out, fn):
+        """Append `fn`, the backward closure of the op whose output's
+        gradient `out` holds (a `_Slot`)."""
         self._records.append((out, fn))
 
     def __len__(self):
@@ -119,9 +131,10 @@ def backward(tape, loss):
     """Populate .grad of every leaf tensor (one no op produced) that the loss
     depends on with d(loss)/d(tensor).
 
+    Closures write the gradients of intermediate tensors into their slots.
     The tape is consumed: each record is popped as it is replayed, and its
-    output's .grad is dropped before its closure runs, so the saved arrays
-    and the gradients of intermediate tensors die during the pass. Afterwards
+    slot's .grad is dropped before its closure runs, so the saved arrays and
+    the gradients of intermediate tensors die during the pass. Afterwards
     the tape is empty, and only leaves hold a .grad. A second call on the
     same tape raises ValueError."""
     if tape._consumed:
@@ -131,11 +144,11 @@ def backward(tape, loss):
     if not loss.requires_grad:
         raise ValueError("loss does not participate in gradient computation")
     tape._consumed = True
-    loss.grad = np.ones_like(loss.data)
+    _slot(loss).grad = np.ones_like(loss.data)
     records = tape._records
     while records:
-        out, fn = records.pop()
-        g, out.grad = out.grad, None
+        slot, fn = records.pop()
+        g, slot.grad = slot.grad, None
         if g is not None:
             fn(g)
 
@@ -152,7 +165,10 @@ def _unbroadcast(g, shape):
 
 
 def _accum(t, g, owned):
-    """Add the gradient g into t.grad.
+    """Add the gradient g into t.grad, where t is what a closure keeps of an
+    input (`_slot`): a leaf tensor or the slot of an op's output. Shape and
+    dtype are read from t when the gradient arrives, so a leaf whose .data
+    was replaced gets gradients of its new dtype.
 
     Every .grad is C-contiguous, writable and its tensor's alone: no other
     .grad and no array a closure saved shares its memory. So a closure owns
@@ -163,8 +179,8 @@ def _accum(t, g, owned):
     broadcast view (the backward of `sum`), the one array that `add` gives
     both inputs, and slices and transposes of an output gradient. A g that
     is reduced to t's shape or cast to its dtype is a fresh array."""
-    if g.shape != t.data.shape or g.dtype != t.data.dtype:
-        reduced = _unbroadcast(g.astype(t.data.dtype, copy=False), t.data.shape)
+    if g.shape != t.shape or g.dtype != t.dtype:
+        reduced = _unbroadcast(g.astype(t.dtype, copy=False), t.shape)
         owned = owned or not np.may_share_memory(reduced, g)
         g = reduced
     if t.grad is None:
@@ -185,9 +201,29 @@ def _trace(*tensors):
     return False
 
 
+class _Slot:
+    """The gradient of an op's output on a tape: its shape and dtype and the
+    .grad that backward closures accumulate, but not its data."""
+
+    __slots__ = ("shape", "dtype", "grad")
+    requires_grad = True
+
+    def __init__(self, shape, dtype):
+        self.shape = shape
+        self.dtype = dtype
+        self.grad = None
+
+
+def _slot(t):
+    """What a closure keeps of an input: the slot of an op's output, or a
+    leaf itself (its data outlives the tape anyway)."""
+    return t if t._slot is None else t._slot
+
+
 def _emit(out, bwd):
     out.requires_grad = True
-    _ACTIVE_TAPE.record(out, bwd)
+    out._slot = _Slot(out.data.shape, out.data.dtype)
+    _ACTIVE_TAPE.record(out._slot, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +266,7 @@ def _count(n):
 def add(a, b):
     out = Tensor(a.data + b.data)
     if _trace(a, b):
-        def bwd(g, a=a, b=b):
+        def bwd(g, a=_slot(a), b=_slot(b)):
             if a.requires_grad:
                 _accum(a, g, True)
             if b.requires_grad:
@@ -243,7 +279,7 @@ def add(a, b):
 def sub(a, b):
     out = Tensor(a.data - b.data)
     if _trace(a, b):
-        def bwd(g, a=a, b=b):
+        def bwd(g, a=_slot(a), b=_slot(b)):
             if a.requires_grad:
                 _accum(a, g, True)
             if b.requires_grad:
@@ -255,11 +291,12 @@ def sub(a, b):
 def mul(a, b):
     out = Tensor(a.data * b.data)
     if _trace(a, b):
-        def bwd(g, a=a, b=b):
+        # each input's gradient reads the other operand
+        def bwd(g, a=_slot(a), b=_slot(b), ad=a.data, bd=b.data):
             if a.requires_grad:
-                _accum(a, g * b.data, True)
+                _accum(a, g * bd, True)
             if b.requires_grad:
-                _accum(b, g * a.data, True)
+                _accum(b, g * ad, True)
         _emit(out, bwd)
     return out
 
@@ -268,7 +305,7 @@ def scale(a, s):
     s = float(s)
     out = Tensor(a.data * s)
     if _trace(a):
-        def bwd(g, a=a, s=s):
+        def bwd(g, a=_slot(a), s=s):
             _accum(a, g * s, True)
         _emit(out, bwd)
     return out
@@ -377,9 +414,9 @@ def gelu(x):
     y *= phi
     out = Tensor(y)
     if _trace(x):
-        def bwd(g, x=x, phi=phi):
+        def bwd(g, x=_slot(x), xd=x.data, phi=phi):
             # g * (phi + t * pdf(t)), in place in one buffer
-            t = np.clip(x.data, -_GELU_TAIL, _GELU_TAIL)
+            t = np.clip(xd, -_GELU_TAIL, _GELU_TAIL)
             d = -0.5 * t
             d *= t
             np.exp(d, out=d)
@@ -404,7 +441,7 @@ def sigmoid(x):
     s /= e
     out = Tensor(s)
     if _trace(x):
-        def bwd(g, x=x, s=s):
+        def bwd(g, x=_slot(x), s=s):
             _accum(x, g * s * (1.0 - s), True)
         _emit(out, bwd)
     return out
@@ -424,14 +461,14 @@ def matmul(a, b):
     _count(m * k * n)
     out = Tensor(a.data @ b.data)
     if _trace(a, b):
-        def bwd(g, a=a, b=b):
+        # each input's gradient reads the other operand
+        def bwd(g, a=_slot(a), b=_slot(b), ad=a.data, bd=b.data):
             # a product with an inner dimension of 1 is an outer product:
-            # one broadcast multiply gives the GEMM's bits in a fraction of
-            # its time
+            # np.dot gives the GEMM's bits in a fraction of its time
             if a.requires_grad:
-                _accum(a, g * b.data.T if n == 1 else g @ b.data.T, True)
+                _accum(a, np.dot(g, bd.T) if n == 1 else g @ bd.T, True)
             if b.requires_grad:
-                _accum(b, a.data.T * g if m == 1 else a.data.T @ g, True)
+                _accum(b, np.dot(ad.T, g) if m == 1 else ad.T @ g, True)
         _emit(out, bwd)
     return out
 
@@ -471,10 +508,11 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
     y += bias.data
     out = Tensor(y)
     if _trace(x, w, bias):
-        def bwd(g, x=x, w=w, bias=bias, xp=xp, ph=ph, pw=pw, stride=stride, groups=groups):
+        def bwd(g, x=_slot(x), w=_slot(w), bias=_slot(bias), xp=xp, wd=w.data,
+                ph=ph, pw=pw, stride=stride, groups=groups):
             g = np.ascontiguousarray(g)
             # no input gradient for an input that takes none, such as an image
-            dxp, dw = kernels.conv_backward(xp, w.data, g, x.requires_grad, stride, groups)
+            dxp, dw = kernels.conv_backward(xp, wd, g, x.requires_grad, stride, groups)
             if x.requires_grad:
                 h, wdt = x.shape[:2]
                 # a padded map's interior is a strided slice, and is copied
@@ -494,7 +532,7 @@ def avgpool2d(x, k=2):
     y = x.data.reshape(h // k, k, w // k, k, c).mean(axis=(1, 3))
     out = Tensor(y)
     if _trace(x):
-        def bwd(g, x=x, k=k):
+        def bwd(g, x=_slot(x), k=k):
             gx = np.repeat(np.repeat(g, k, axis=0), k, axis=1) / (k * k)
             _accum(x, gx, True)
         _emit(out, bwd)
@@ -524,7 +562,8 @@ def layernorm(x, gamma, beta):
     y += beta.data
     out = Tensor(y)
     if _trace(x, gamma, beta):
-        def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv=inv, c=c, inv_c=inv_c):
+        def bwd(g, x=_slot(x), gamma=_slot(gamma), beta=_slot(beta), gd=gamma.data,
+                xhat=xhat, inv=inv, c=c, inv_c=inv_c):
             if gamma.requires_grad:
                 _accum(gamma, (g * xhat).reshape(-1, c).sum(axis=0), True)
             if beta.requires_grad:
@@ -532,7 +571,7 @@ def layernorm(x, gamma, beta):
             if x.requires_grad:
                 # (g gamma - m1 - xhat m2) * inv, in g and one temporary
                 gx = g
-                gx *= gamma.data
+                gx *= gd
                 m1 = gx.sum(axis=-1, keepdims=True)
                 m1 *= inv_c
                 t = gx * xhat
@@ -556,7 +595,7 @@ def softmax(x):
     s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s)
     if _trace(x):
-        def bwd(g, x=x, s=s):
+        def bwd(g, x=_slot(x), s=s):
             # s * (g - dot), in g
             dot = (g * s).sum(axis=-1, keepdims=True)
             g -= dot
@@ -590,7 +629,7 @@ def bilinear_resize(x, out_h, out_w):
     y = tmp[:, c0] + cfc * (tmp[:, c1] - tmp[:, c0])
     out = Tensor(y)
     if _trace(x):
-        def bwd(g, x=x, r0=r0, r1=r1, rfc=rfc, c0=c0, c1=c1, cfc=cfc, h=h, w=w):
+        def bwd(g, x=_slot(x), r0=r0, r1=r1, rfc=rfc, c0=c0, c1=c1, cfc=cfc, h=h, w=w):
             dtmp = np.zeros((len(r0), w, g.shape[2]), dtype=g.dtype)
             np.add.at(dtmp, (slice(None), c0), g * (1.0 - cfc))
             np.add.at(dtmp, (slice(None), c1), g * cfc)
@@ -609,8 +648,8 @@ def bilinear_resize(x, out_h, out_w):
 def reshape(x, shape):
     out = Tensor(x.data.reshape(shape))
     if _trace(x):
-        def bwd(g, x=x):
-            _accum(x, g.reshape(x.data.shape), True)
+        def bwd(g, x=_slot(x)):
+            _accum(x, g.reshape(x.shape), True)
         _emit(out, bwd)
     return out
 
@@ -618,7 +657,7 @@ def reshape(x, shape):
 def transpose(x, axes=None):
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
     if _trace(x):
-        def bwd(g, x=x, axes=axes):
+        def bwd(g, x=_slot(x), axes=axes):
             inv = None if axes is None else np.argsort(axes)
             _accum(x, g.transpose(inv), False)
         _emit(out, bwd)
@@ -629,7 +668,7 @@ def concat(xs, axis=0):
     out = Tensor(np.concatenate([x.data for x in xs], axis=axis))
     if _ACTIVE_TAPE is not None and any(x.requires_grad for x in xs):
         sizes = [x.shape[axis] for x in xs]
-        def bwd(g, xs=xs, sizes=sizes, axis=axis):
+        def bwd(g, xs=[_slot(x) for x in xs], sizes=sizes, axis=axis):
             offs = np.cumsum([0] + sizes)
             for x, a, b in zip(xs, offs[:-1], offs[1:]):
                 if x.requires_grad:
@@ -646,10 +685,10 @@ def slice_axis(x, axis, start, stop):
     idx = tuple(idx)
     out = Tensor(np.ascontiguousarray(x.data[idx]))
     if _trace(x):
-        def bwd(g, x=x, idx=idx):
+        def bwd(g, x=_slot(x), idx=idx):
             # add into the slice: several slices of one tensor share a buffer
             if x.grad is None:
-                x.grad = np.zeros_like(x.data)
+                x.grad = np.zeros(x.shape, x.dtype)
             x.grad[idx] += g
         _emit(out, bwd)
     return out
@@ -659,8 +698,8 @@ def sum(x):  # noqa: A001 - deliberate op name
     """The sum of every element of x."""
     out = Tensor(x.data.sum())
     if _trace(x):
-        def bwd(g, x=x):
-            _accum(x, np.broadcast_to(g, x.data.shape), False)
+        def bwd(g, x=_slot(x)):
+            _accum(x, np.broadcast_to(g, x.shape), False)
         _emit(out, bwd)
     return out
 
@@ -671,7 +710,7 @@ def mean(x, axis=None):
     out = Tensor(x.data.mean(axis=axis, keepdims=axis is not None))
     if _trace(x):
         n = x.data.size if axis is None else x.data.shape[axis]
-        def bwd(g, x=x, n=n):
-            _accum(x, np.broadcast_to(g, x.data.shape) / n, True)
+        def bwd(g, x=_slot(x), n=n):
+            _accum(x, np.broadcast_to(g, x.shape) / n, True)
         _emit(out, bwd)
     return out

@@ -49,7 +49,7 @@ def cross_entropy(logits, label):
     out = Tensor(np.asarray(lse - z[label], dtype=z.dtype))
     if T._trace(logits):
         probs = np.exp(z - lse)
-        def bwd(g, logits=logits, probs=probs, label=label):
+        def bwd(g, logits=T._slot(logits), probs=probs, label=label):
             gz = probs.copy()
             gz[label] -= 1.0
             T._accum(logits, g * gz, True)

@@ -126,6 +126,25 @@ def test_toy_tape_length_stays_within_budget():
     assert len(tape) <= 374
 
 
+def test_a_toy_tape_holds_only_what_its_backward_reads():
+    # a record keeps the arrays its closure reads, not the op's output: the
+    # numpy buffers alive after a taped forward are the tape's (numpy
+    # reports them to tracemalloc in its own domain)
+    model = build_model("toy", seed=1)
+    image = random_image(32)
+    tracemalloc.start()
+    try:
+        tape = GradTape()
+        with tape:
+            logits, _ = model.forward(image, want_activations=False)
+            cross_entropy(logits, 3)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert sum(trace.size for trace in held.traces) <= 90_000
+
+
 def test_window_toy_tape_length_stays_within_budget():
     # the window branch cuts its map into windows with one reshape/transpose
     cfg = next(cfg for cfg in criterion_7_variants() if cfg.name == "window2")
@@ -156,7 +175,7 @@ def test_backward_consumes_the_tape_and_keeps_only_leaf_gradients():
     # the oracle: the same step replayed in full, nothing released
     oracle = build_model("toy", seed=1)
     oracle_tape, oracle_loss = _toy_step_tape(oracle)
-    oracle_loss.grad = np.ones_like(oracle_loss.data)
+    T._slot(oracle_loss).grad = np.ones_like(oracle_loss.data)
     for out, fn in reversed(oracle_tape._records):
         if out.grad is not None:
             fn(out.grad)
@@ -214,7 +233,7 @@ def test_a_toy_backward_copies_only_shared_arrays_slices_and_transposes(monkeypa
         first = t.grad is None
         accum(t, g, owned)
         # a gradient reduced to t's shape is a new array, not a copy
-        if first and g.shape == t.data.shape and t.grad is not g:
+        if first and g.shape == t.shape and t.grad is not g:
             copies[op[0]] = copies.get(op[0], 0) + 1
 
     monkeypatch.setattr(T, "_accum", counting)
@@ -222,6 +241,28 @@ def test_a_toy_backward_copies_only_shared_arrays_slices_and_transposes(monkeypa
     # add's second input where the first keeps g, concat's slices, the
     # transposed keys of attention, and the interior of two padded convs
     assert copies == {"add": 16, "concat": 28, "transpose": 8, "conv2d": 2}
+
+
+def test_a_leaf_whose_data_is_replaced_gets_gradients_of_its_dtype():
+    # closures read a leaf's shape and dtype when its gradient arrives, so a
+    # model cast to f64 after an f32 pass gets the f64 model's gradients
+    def gradients(model, dtype):
+        for _, p in model.named_params():
+            p.zero_grad()
+        image = Tensor(random_image(32, seed=4).data.astype(dtype))
+        tape = GradTape()
+        with tape:
+            logits, _ = model.forward(image, want_activations=False)
+            loss = cross_entropy(logits, 3)
+        T.backward(tape, loss)
+        return [(name, p.grad) for name, p in model.named_params()]
+
+    model = build_model("toy", seed=1)
+    gradients(model, np.float32)
+    cast = gradients(cast_model(model, np.float64), np.float64)
+    want = gradients(cast_model(build_model("toy", seed=1), np.float64), np.float64)
+    for (name, got), (_, ref) in zip(cast, want):
+        assert got.dtype == np.float64 and got.tobytes() == ref.tobytes(), name
 
 
 def test_backward_peak_memory_stays_near_the_forward_peak():

@@ -85,8 +85,8 @@ def test_matmul_matches_naive_oracle(dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_rank_one_matmul_gradients_are_bitwise_the_gemm(dtype):
     # with one row in a, a's transpose times g has an inner dimension of 1, as
-    # has g times b's transpose with one column in b; the backward multiplies
-    # by broadcasting there, which must give the GEMM's bits
+    # has g times b's transpose with one column in b; the backward takes that
+    # outer product with np.dot, which must give the GEMM's bits
     rng = np.random.default_rng(12)
     for m, k, n in [(1, 7, 5), (1, 1280, 1000), (6, 9, 1), (1, 8, 1), (1, 1, 3)]:
         a = Tensor(rng.standard_normal((m, k)).astype(dtype), requires_grad=True)
@@ -344,6 +344,14 @@ def test_broadcast_gradient_unbroadcasts_to_parameter_shape():
     assert x.grad.shape == (3, 4)
     assert b.grad.shape == (4,)
     assert (b.grad == 3.0).all()
+
+
+@pytest.mark.parametrize("data", [np.array([1 + 2j]), [0.5j, 1.0], np.zeros((2, 2), np.complex64)],
+                         ids=["complex128", "list", "complex64"])
+def test_tensor_refuses_complex_data(data):
+    # a cast to float would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match=np.asarray(data).dtype.name):
+        Tensor(data)
 
 
 def test_backward_rejects_non_scalar_loss():
