@@ -11,7 +11,9 @@ inputs that ops produced, the leaf inputs themselves, and only the arrays
 its backward reads, such as the other operand of a product. So an
 activation that no backward reads dies with its tensor.
 `backward()` replays the tape in reverse and consumes it: each record, with
-the arrays its closure saved, is released as soon as it has run.
+the arrays its closure saved, is released as soon as it has run. The tape
+also notes the record of each leaf's first use, so that `backward` can tell
+a caller the moment a leaf's gradient is complete (`on_leaf_done`).
 
 A module-level MAC counter (see `count_macs`) instruments matmul and conv2d
 so analytic cost models can be checked against an executed forward pass.
@@ -105,6 +107,7 @@ class GradTape:
 
     def __init__(self):
         self._records = []
+        self._first_use = {}    # leaf that takes gradients -> its first record
         self._consumed = False
 
     def __enter__(self):
@@ -127,7 +130,7 @@ class GradTape:
         return len(self._records)
 
 
-def backward(tape, loss):
+def backward(tape, loss, on_leaf_done=None):
     """Populate .grad of every leaf tensor (one no op produced) that the loss
     depends on with d(loss)/d(tensor).
 
@@ -136,7 +139,14 @@ def backward(tape, loss):
     slot's .grad is dropped before its closure runs, so the saved arrays and
     the gradients of intermediate tensors die during the pass. Afterwards
     the tape is empty, and only leaves hold a .grad. A second call on the
-    same tape raises ValueError."""
+    same tape raises ValueError.
+
+    `on_leaf_done(leaf)` is called once for every leaf that takes gradients
+    on the tape, right after the record of its first use has replayed (and
+    whether or not its records received a gradient): from then on no record
+    adds to its .grad, and none reads its .data. So leaves are handed over in
+    reverse order of first use, those of one record in the order the op took
+    them, and the hook may update a leaf in place or drop its .grad."""
     if tape._consumed:
         raise ValueError("backward was already run on this tape")
     if loss.size != 1:
@@ -144,13 +154,22 @@ def backward(tape, loss):
     if not loss.requires_grad:
         raise ValueError("loss does not participate in gradient computation")
     tape._consumed = True
-    _slot(loss).grad = np.ones_like(loss.data)
+    # record index -> the leaves first used there
+    done = {}
+    if on_leaf_done is not None:
+        for leaf, i in tape._first_use.items():
+            done.setdefault(i, []).append(leaf)
+    tape._first_use = {}
+    (loss if loss._slot is None else loss._slot).grad = np.ones_like(loss.data)
     records = tape._records
     while records:
         slot, fn = records.pop()
         g, slot.grad = slot.grad, None
         if g is not None:
             fn(g)
+        if done and len(records) in done:
+            for leaf in done.pop(len(records)):
+                on_leaf_done(leaf)
 
 
 def _unbroadcast(g, shape):
@@ -216,8 +235,19 @@ class _Slot:
 
 def _slot(t):
     """What a closure keeps of an input: the slot of an op's output, or a
-    leaf itself (its data outlives the tape anyway)."""
-    return t if t._slot is None else t._slot
+    leaf itself (its data outlives the tape anyway).
+
+    Every op takes its inputs here just before it records, so a leaf that
+    takes gradients is noted with the index of the record about to be
+    appended, if it has none yet: its first use, where `backward` finishes
+    its gradient. The inputs that ops produced cost nothing more."""
+    s = t._slot
+    if s is not None:
+        return s
+    if t.requires_grad:
+        tape = _ACTIVE_TAPE
+        tape._first_use.setdefault(t, len(tape._records))
+    return t
 
 
 def _emit(out, bwd):
@@ -399,10 +429,11 @@ def gelu(x):
     (measured at 2^21 points on [-12, 12] and on [-40, 40]: at most 0.062 of
     the bound on the tanh path with numpy's default tanh kernel, 0.072 with
     its baseline (X86_V2) kernel, and 0.13 on the table).
-    The backward uses the saved Phi and the exact normal pdf either way. x is
-    clamped at -40 (and at +40 for the pdf), where the tails are exactly 0 or
-    1, so gelu(-inf) is 0 with gradient 0, and gelu(inf) is inf with
-    gradient 1; NaN stays NaN."""
+    The derivative is Phi plus t times the exact normal pdf of t, x clamped
+    to [-40, 40]; a recording forward computes it, and its record keeps
+    that one array rather than x and Phi, for the backward to multiply into
+    g. The tails are exactly 0 or 1 beyond the clamp, so gelu(-inf) is 0
+    with gradient 0, and gelu(inf) is inf with gradient 1; NaN stays NaN."""
     spare = None
     if x.data.dtype == np.float64:
         phi = _phi_exact_f64(x.data)
@@ -414,17 +445,17 @@ def gelu(x):
     y *= phi
     out = Tensor(y)
     if _trace(x):
-        def bwd(g, x=_slot(x), xd=x.data, phi=phi):
-            # g * (phi + t * pdf(t)), in place in one buffer
-            t = np.clip(xd, -_GELU_TAIL, _GELU_TAIL)
-            d = -0.5 * t
-            d *= t
-            np.exp(d, out=d)
-            d *= _INV_SQRT_2PI
-            d *= t
-            d += phi
-            d *= g
-            _accum(x, d, True)
+        # phi + t * pdf(t), in phi
+        t = np.clip(x.data, -_GELU_TAIL, _GELU_TAIL)
+        d = -0.5 * t
+        d *= t
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= t
+        phi += d
+        def bwd(g, x=_slot(x), dy=phi):
+            dy *= g
+            _accum(x, dy, True)
         _emit(out, bwd)
     return out
 

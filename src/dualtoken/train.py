@@ -11,7 +11,13 @@ moments are views into one flat buffer per dtype, in parameter order, and
 each run of them that fits in a block has its parameters and gradients
 gathered into block scratch, is updated there against its moments, and has
 its parameters scattered back. The flat buffers stay with the state from step
-to step; a moment pair that a caller puts into `moments` is copied in."""
+to step; a moment pair that a caller puts into `moments` is copied in.
+
+`train_step` updates the tensors of one block or more during the step's last
+backward: each is updated, and its gradient dropped, as soon as the backward
+has finished that gradient, so finished gradients do not wait for the end of
+the step. The small tensors are updated together once the backward is done.
+Either way each tensor gets the same update, bit for bit."""
 
 from __future__ import annotations
 
@@ -84,19 +90,24 @@ ADAMW_EPS = 1e-8
 ADAMW_WEIGHT_DECAY = 4e-2
 
 
+def _scalars(state, micro_batch):
+    """The bias corrections, lr, decay and 1/micro_batch of the state's next
+    step folded into the scalars of `_adamw`:
+    p <- p (1 - lr wd) - lr/bc1 * m / (sqrt(v) / sqrt(bc2) + eps)."""
+    b1, b2 = ADAMW_BETAS
+    t = state.step + 1
+    return ((1 - b1) / micro_batch,
+            (1 - b2) / (micro_batch * micro_batch),
+            1 / math.sqrt(1 - b2 ** t),
+            state.lr / (1 - b1 ** t),
+            1 - state.lr * ADAMW_WEIGHT_DECAY)
+
+
 def _apply_update(state, params, micro_batch):
     """One AdamW step, in place, for every (name, p) of `params` that holds
     an accumulated `p.grad` (a sum over `micro_batch` samples)."""
     params = [(name, p) for name, p in params if p.grad is not None]
-    b1, b2 = ADAMW_BETAS
-    t = state.step + 1
-    # the bias corrections, lr, decay and 1/micro_batch folded into scalars:
-    # p <- p (1 - lr wd) - lr/bc1 * m / (sqrt(v) / sqrt(bc2) + eps)
-    scalars = ((1 - b1) / micro_batch,
-               (1 - b2) / (micro_batch * micro_batch),
-               1 / math.sqrt(1 - b2 ** t),
-               state.lr / (1 - b1 ** t),
-               1 - state.lr * ADAMW_WEIGHT_DECAY)
+    scalars = _scalars(state, micro_batch)
     scratch = {dt: [np.empty(_BLOCK, dt) for _ in range(4)]
                for dt in {p.data.dtype for _, p in params}}
 
@@ -127,17 +138,38 @@ def _apply_update(state, params, micro_batch):
             for p, i, j in zip(batch, bounds, bounds[1:]):
                 p.data[...] = sp[i - a:j - a].reshape(p.data.shape)
 
-    # tensors of one block or more: block by block where they lie
+    # tensors of one block or more
     for name, p in params:
-        if p.data.size < _BLOCK:
-            continue
-        if name not in state.moments:
-            state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-        _, _, s1, s2 = scratch[p.data.dtype]
-        flat = [_flat(a) for a in (p.data, p.grad, *state.moments[name])]
-        for i in range(0, p.data.size, _BLOCK):
-            pb, gb, mb, vb = (a[i:i + _BLOCK] for a in flat)
-            _adamw(pb, gb, mb, vb, s1[:pb.size], s2[:pb.size], scalars)
+        if p.data.size >= _BLOCK:
+            _update_large(state, name, p, scalars, *scratch[p.data.dtype][2:])
+
+
+def _update_large(state, name, p, scalars, s1, s2):
+    """The AdamW update of `p`, a tensor of one block or more, block by block
+    where it lies, with scratch s1 and s2 of one block."""
+    if name not in state.moments:
+        state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+    flat = [_flat(a) for a in (p.data, p.grad, *state.moments[name])]
+    for i in range(0, p.data.size, _BLOCK):
+        pb, gb, mb, vb = (a[i:i + _BLOCK] for a in flat)
+        _adamw(pb, gb, mb, vb, s1[:pb.size], s2[:pb.size], scalars)
+
+
+def _large_updater(state, params, micro_batch):
+    """The `on_leaf_done` hook of a step's last backward: it updates each
+    parameter of one block or more whose gradient is complete, and drops
+    that gradient. Other leaves are left as they are."""
+    scalars = _scalars(state, micro_batch)
+    large = {p: name for name, p in params if p.data.size >= _BLOCK}
+    scratch = {dt: (np.empty(_BLOCK, dt), np.empty(_BLOCK, dt))
+               for dt in {p.data.dtype for p in large}}
+
+    def update(p):
+        name = large.get(p)
+        if name is not None and p.grad is not None:
+            _update_large(state, name, p, scalars, *scratch[p.data.dtype])
+            p.grad = None
+    return update
 
 
 def _adamw(pb, gb, mb, vb, s1, s2, scalars):
@@ -201,7 +233,13 @@ def _flat(a):
 def train_step(state, dataset, micro_batch=8):
     """One optimizer step: gradient accumulation over `micro_batch`
     consecutive samples (deterministic round-robin order). A non-finite
-    value in the forward pass or the loss raises `TrainingDiverged`."""
+    value in the forward pass or the loss raises `TrainingDiverged`, before
+    any parameter or moment changes.
+
+    The mean loss is checked before the last sample's backward, which
+    updates each tensor of one block or more as soon as its gradient is
+    complete (`_large_updater`); the other tensors are updated after it.
+    No parameter holds a .grad afterwards."""
     check_positive_int("micro_batch", micro_batch)
     model = state.model
     params = list(model.named_params())
@@ -219,12 +257,16 @@ def train_step(state, dataset, micro_batch=8):
                 loss = cross_entropy(logits, dataset.labels[idx])
         except FloatingPointError as exc:
             raise TrainingDiverged(state.step) from exc
-        T.backward(tape, loss)
         total += loss.item()
+        if j < micro_batch - 1:
+            T.backward(tape, loss)
     mean_loss = total / micro_batch
     if not np.isfinite(mean_loss):
         raise TrainingDiverged(state.step)
+    T.backward(tape, loss, _large_updater(state, params, micro_batch))
     _apply_update(state, params, micro_batch)
+    for _, p in params:
+        p.zero_grad()
     state.step += 1
     state.loss_history.append(mean_loss)
     return mean_loss

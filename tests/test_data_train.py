@@ -1,16 +1,20 @@
 """Synthetic data generation and the toy training loop."""
 
 import hashlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dualtoken import tensor as T
+from dualtoken import train as train_mod
 from dualtoken.checks import cast_model
 from dualtoken.data import (SyntheticDataset, gen_synthetic, load_dataset,
                             save_dataset)
 from dualtoken.container import CheckpointError, Reader, write_tensors
 from dualtoken.model import build_model, preset
-from dualtoken.tensor import Tensor
+from dualtoken.tensor import GradTape, Tensor
 from dualtoken.train import (ADAMW_BETAS, ADAMW_EPS, ADAMW_WEIGHT_DECAY,
                              TrainState, TrainingDiverged, _apply_update,
                              cross_entropy, evaluate, load_state, save_state,
@@ -426,6 +430,74 @@ def test_non_finite_parameters_raise_training_diverged():
     with pytest.raises(TrainingDiverged) as info:
         train_step(state, grad_dataset(n=8))
     assert info.value.step == 0
+
+
+def _wide_head_toy(dtype):
+    """`toy` with a head of 1,100 hidden units and 40 classes: head.lin1
+    (35,200 elements) and head.lin2 (44,000) are over one update block and
+    not a multiple of it."""
+    cfg = replace(preset("toy"), head_hidden=1100, num_classes=40)
+    model = cast_model(build_model(cfg, seed=7), dtype)
+    sizes = {name: p.data.size for name, p in model.named_params()}
+    assert sizes["head.lin1.weight"] == 35_200 and sizes["head.lin2.weight"] == 44_000
+    return TrainState(model=model, optimizer="adamw", lr=1e-2)
+
+
+def _step_updating_at_the_end(state, dataset, micro_batch):
+    """`train_step` with every tensor updated once the last backward is done."""
+    params = list(state.model.named_params())
+    for _, p in params:
+        p.zero_grad()
+    for j in range(micro_batch):
+        idx = (state.step * micro_batch + j) % len(dataset)
+        tape = GradTape()
+        with tape:
+            logits, _ = state.model.forward(Tensor(dataset.images[idx]),
+                                            want_activations=False)
+            loss = cross_entropy(logits, dataset.labels[idx])
+        T.backward(tape, loss)
+    _apply_update(state, params, micro_batch)
+    state.step += 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("micro_batch", [1, 2, 8])
+def test_updates_during_the_last_backward_match_an_update_at_the_end(micro_batch, dtype):
+    ds = gen_synthetic(seed=8, n=16)
+    state, ref = _wide_head_toy(dtype), _wide_head_toy(dtype)
+    for _ in range(3):
+        train_step(state, ds, micro_batch=micro_batch)
+        _step_updating_at_the_end(ref, ds, micro_batch)
+        assert all(p.grad is None for _, p in state.model.named_params())
+    want = ref.model.param_dict()
+    for name, p in state.model.named_params():
+        assert p.data.dtype == dtype and p.data.tobytes() == want[name].data.tobytes(), name
+        for got, ref_moment in zip(state.moments[name], ref.moments[name]):
+            assert got.tobytes() == ref_moment.tobytes(), name
+
+
+def test_a_non_finite_last_loss_changes_no_parameter_or_moment(monkeypatch):
+    micro_batch = 2
+    ds = gen_synthetic(seed=8, n=16)
+    state = _wide_head_toy(np.float32)
+    train_step(state, ds, micro_batch=micro_batch)
+    before = {name: (p.data.copy(), *(a.copy() for a in state.moments[name]))
+              for name, p in state.model.named_params()}
+    calls = []
+
+    def last_loss_inf(logits, label):
+        calls.append(label)
+        loss = cross_entropy(logits, label)
+        return T.scale(loss, math.inf) if len(calls) == micro_batch else loss
+
+    monkeypatch.setattr(train_mod, "cross_entropy", last_loss_inf)
+    with pytest.raises(TrainingDiverged):
+        train_step(state, ds, micro_batch=micro_batch)
+    assert len(calls) == micro_batch and state.step == 1
+    for name, p in state.model.named_params():
+        m, v = state.moments[name]
+        for got, want in zip((p.data, m, v), before[name]):
+            assert got.tobytes() == want.tobytes(), name
 
 
 # -- pinned results of three optimizer steps -----------------------------------

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,48 @@ def test_float32_gelu_tanh_path_holds_the_bound_densely():
     assert (err <= 2e-6 * np.maximum(1.0, np.abs(x64))).all()
 
 
+@pytest.mark.parametrize("n", [4095, 1 << 16], ids=["table", "tanh"])
+def test_a_taped_gelu_keeps_one_array_and_its_gradient_keeps_its_bits(n):
+    # the record keeps Phi + t pdf(t), which the forward computes; the
+    # backward multiplies it into g, so the gradient has the bits of
+    # g * (Phi + t pdf(t)) evaluated step by step below (products commute)
+    rng = np.random.default_rng(31)
+    xd = np.concatenate([np.linspace(-12.0, 12.0, n - 4), [-50.0, -40.0, 40.0, 50.0]])
+    rng.shuffle(xd)
+    x = Tensor(xd.astype(np.float32), requires_grad=True)
+    gd = rng.standard_normal(n).astype(np.float32)
+    tracemalloc.start()
+    try:
+        tape = GradTape()
+        with tape:
+            # GELU's input is an activation, which no other record keeps
+            y = T.gelu(T.scale(x, 1.0))
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    # numpy's buffers alive after the forward: the output and one array
+    held = sum(trace.size for trace in held.traces)
+    assert 2 * x.data.nbytes <= held < 2 * x.data.nbytes + 1024
+    with tape:
+        loss = T.sum(T.mul(y, Tensor(gd)))
+    T.backward(tape, loss)
+
+    if n >= T._PHI_TANH_MIN_SIZE:
+        phi = T._phi_tanh_f32(x.data)[0]
+    else:
+        phi = T._phi_table_f32(x.data)
+    t = np.clip(x.data, -T._GELU_TAIL, T._GELU_TAIL)
+    d = -0.5 * t
+    d *= t
+    np.exp(d, out=d)
+    d *= T._INV_SQRT_2PI
+    d *= t
+    d += phi
+    d *= gd
+    assert x.grad.dtype == np.float32 and x.grad.tobytes() == d.tobytes()
+
+
 @pytest.mark.parametrize("n", [31, 4095, 4096, 1 << 20])
 def test_float32_gelu_gradient_matches_the_float64_erf_derivative(n):
     # the float32 backward, g * (Phi + x pdf(x)) with the saved Phi of either
@@ -449,3 +492,48 @@ def test_backward_on_a_consumed_tape_raises():
     with pytest.raises(ValueError, match="already"):
         T.backward(tape, loss)
     assert (x.grad == before).all()
+
+
+def test_backward_hands_over_each_leaf_once_its_gradient_is_complete():
+    def run(*hook):
+        # x is read by three ops; z's only record is cut off from the loss;
+        # the image takes no gradient
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        z = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        image = Tensor(rng.standard_normal((3, 4)))
+        tape = GradTape()
+        with tape:
+            h = T.mul(x, image)
+            u = T.matmul(h, w)
+            v = T.add(T.scale(x, 2.0), h)
+            T.mul(z, x)
+            loss = T.add(T.sum(u), T.sum(T.mul(v, v)))
+        T.backward(tape, loss, *hook)
+        return x, w, z, image
+
+    seen = []
+
+    def on_leaf_done(leaf):
+        seen.append((leaf, None if leaf.grad is None else leaf.grad.copy()))
+
+    x, w, z, image = run(on_leaf_done)
+    # once per leaf that takes gradients, in reverse order of first use,
+    # each gradient complete when it is handed over
+    assert [leaf for leaf, _ in seen] == [z, w, x]
+    for leaf, grad in seen:
+        if leaf is z:
+            assert grad is None and z.grad is None
+        else:
+            assert grad.tobytes() == leaf.grad.tobytes()
+    assert image.grad is None
+    v = 2 * x.data + x.data * image.data
+    want_x = image.data * w.data.sum(axis=1) + 2 * v * (2 + image.data)
+    assert np.allclose(x.grad, want_x, rtol=1e-12, atol=1e-12)
+
+    # without the hook, the same gradients
+    for got, ref in zip((x, w, z, image), run()):
+        assert (got.grad is None) == (ref.grad is None)
+        if got.grad is not None:
+            assert got.grad.tobytes() == ref.grad.tobytes()
