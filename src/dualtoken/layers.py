@@ -79,8 +79,9 @@ class Linear(Layer):
         return self.weight.shape[1]
 
     def __call__(self, x):
-        if x.shape[-1] != self.cin:
-            raise ValueError(f"linear expects {self.cin} input channels, got {x.shape}")
+        cin = self.weight.data.shape[0]
+        if x.data.shape[-1] != cin:
+            raise ValueError(f"linear expects {cin} input channels, got {x.shape}")
         y = T.matmul(x, self.weight)
         if self.bias is not None:
             y = T.add(y, self.bias)
@@ -144,7 +145,13 @@ class MultiHeadAttention(Layer):
                 weights.append(attn.data)
         out = self.out_proj(T.concat(outs, axis=1))
         if need_weights:
-            return out, np.mean(weights, axis=0)
+            # the maps added in head order and divided once: the bits of
+            # np.mean over the stacked maps, without the stack
+            avg = weights[0].copy()
+            for w in weights[1:]:
+                avg += w
+            avg /= self.heads
+            return out, avg
         return out
 
 

@@ -57,8 +57,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad=False):
-        # fast path: ops hand over fresh C-contiguous float arrays (a 0-d
-        # array still goes the long way, where it becomes shape (1,))
+        # fast path: a C-contiguous float array is kept as it is (a 0-d
+        # array goes the long way, where it becomes shape (1,))
         if (type(data) is np.ndarray and data.ndim
                 and data.dtype in _FLOATS and data.flags.c_contiguous):
             self.data = data
@@ -93,6 +93,21 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
+
+
+def _result(data):
+    """The Tensor of an op's output, without the checks and conversions of
+    `Tensor(...)`: `data` must be a C-contiguous float32 or float64 array
+    with ndim >= 1 that the op made (`reshape` and `slice_axis` may hand
+    over a view of their input's data). A 0-d result (`sum`, `mean` over
+    every element, `cross_entropy`) and any data from outside an op go
+    through `Tensor(...)`."""
+    out = object.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    out._slot = None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +191,10 @@ def _unbroadcast(g, shape):
     if g.shape == shape:
         return g
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for ax, (gs, ss) in enumerate(zip(g.shape, shape)):
         if ss == 1 and gs != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = np.add.reduce(g, axis=ax, keepdims=True)
     return g.reshape(shape)
 
 
@@ -203,10 +218,12 @@ def _accum(t, g, owned):
         owned = owned or not np.may_share_memory(reduced, g)
         g = reduced
     if t.grad is None:
-        if owned and g.flags.c_contiguous and g.flags.writeable:
-            t.grad = g
-        else:
-            t.grad = np.array(g, order="C")
+        if owned:
+            flags = g.flags
+            if flags.c_contiguous and flags.writeable:
+                t.grad = g
+                return
+        t.grad = np.array(g, order="C")
     else:
         t.grad += g
 
@@ -251,9 +268,10 @@ def _slot(t):
 
 
 def _emit(out, bwd):
+    data = out.data
     out.requires_grad = True
-    out._slot = _Slot(out.data.shape, out.data.dtype)
-    _ACTIVE_TAPE.record(out._slot, bwd)
+    out._slot = slot = _Slot(data.shape, data.dtype)
+    _ACTIVE_TAPE.record(slot, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +312,7 @@ def _count(n):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    out = Tensor(a.data + b.data)
+    out = _result(a.data + b.data)
     if _trace(a, b):
         def bwd(g, a=_slot(a), b=_slot(b)):
             if a.requires_grad:
@@ -307,7 +325,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    out = Tensor(a.data - b.data)
+    out = _result(a.data - b.data)
     if _trace(a, b):
         def bwd(g, a=_slot(a), b=_slot(b)):
             if a.requires_grad:
@@ -319,7 +337,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    out = Tensor(a.data * b.data)
+    out = _result(a.data * b.data)
     if _trace(a, b):
         # each input's gradient reads the other operand
         def bwd(g, a=_slot(a), b=_slot(b), ad=a.data, bd=b.data):
@@ -333,7 +351,7 @@ def mul(a, b):
 
 def scale(a, s):
     s = float(s)
-    out = Tensor(a.data * s)
+    out = _result(a.data * s)
     if _trace(a):
         def bwd(g, a=_slot(a), s=s):
             _accum(a, g * s, True)
@@ -443,7 +461,7 @@ def gelu(x):
         phi = _phi_table_f32(x.data)
     y = np.maximum(x.data, -_GELU_TAIL, out=spare)
     y *= phi
-    out = Tensor(y)
+    out = _result(y)
     if _trace(x):
         # phi + t * pdf(t), in phi
         t = np.clip(x.data, -_GELU_TAIL, _GELU_TAIL)
@@ -470,7 +488,7 @@ def sigmoid(x):
     s = np.where(x.data >= 0, 1.0, e)
     e += 1.0
     s /= e
-    out = Tensor(s)
+    out = _result(s)
     if _trace(x):
         def bwd(g, x=_slot(x), s=s):
             _accum(x, g * s * (1.0 - s), True)
@@ -483,17 +501,18 @@ def sigmoid(x):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    m, k = a.shape
-    n = b.shape[1]
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError(f"matmul expects 2-d operands, got {ad.shape} and {bd.shape}")
+    m, k = ad.shape
+    if k != bd.shape[0]:
+        raise ValueError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
+    n = bd.shape[1]
     _count(m * k * n)
-    out = Tensor(a.data @ b.data)
+    out = _result(ad @ bd)
     if _trace(a, b):
         # each input's gradient reads the other operand
-        def bwd(g, a=_slot(a), b=_slot(b), ad=a.data, bd=b.data):
+        def bwd(g, a=_slot(a), b=_slot(b), ad=ad, bd=bd):
             # a product with an inner dimension of 1 is an outer product:
             # np.dot gives the GEMM's bits in a fraction of its time
             if a.requires_grad:
@@ -507,8 +526,9 @@ def matmul(a, b):
 def conv2d(x, w, bias, stride=1, padding=0, groups=1):
     """Cross-correlation on an H x W x Cin map with kh x kw x Cin/g x Cout
     weights plus a bias; a depthwise one (groups=cin=cout) is stride 1."""
-    kh, kw, cig, cout = w.shape
-    h, wdt, cin = x.shape
+    xd, wd = x.data, w.data
+    kh, kw, cig, cout = wd.shape
+    h, wdt, cin = xd.shape
     if padding == "same":
         if stride != 1:
             raise ValueError("'same' padding requires stride 1")
@@ -528,18 +548,18 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
         raise ValueError(f"a depthwise conv2d is stride 1, got stride={stride}")
     if ph or pw:
         # a zero buffer and one slice assignment: np.pad costs ~10x more
-        xp = np.zeros((h + 2 * ph, wdt + 2 * pw, cin), dtype=x.data.dtype)
-        xp[ph:ph + h, pw:pw + wdt] = x.data
+        xp = np.zeros((h + 2 * ph, wdt + 2 * pw, cin), dtype=xd.dtype)
+        xp[ph:ph + h, pw:pw + wdt] = xd
     else:
-        xp = x.data
+        xp = xd
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (wdt + 2 * pw - kw) // stride + 1
     _count(ho * wo * kh * kw * cig * cout)
-    y = kernels.conv_forward(xp, w.data, stride, groups)
+    y = kernels.conv_forward(xp, wd, stride, groups)
     y += bias.data
-    out = Tensor(y)
+    out = _result(y)
     if _trace(x, w, bias):
-        def bwd(g, x=_slot(x), w=_slot(w), bias=_slot(bias), xp=xp, wd=w.data,
+        def bwd(g, x=_slot(x), w=_slot(w), bias=_slot(bias), xp=xp, wd=wd,
                 ph=ph, pw=pw, stride=stride, groups=groups):
             g = np.ascontiguousarray(g)
             # no input gradient for an input that takes none, such as an image
@@ -551,7 +571,7 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
             if w.requires_grad:
                 _accum(w, dw, True)
             if bias.requires_grad:
-                _accum(bias, g.sum(axis=(0, 1)), True)
+                _accum(bias, np.add.reduce(g, axis=(0, 1)), True)
         _emit(out, bwd)
     return out
 
@@ -560,8 +580,10 @@ def avgpool2d(x, k=2):
     h, w, c = x.shape
     if h % k or w % k:
         raise ValueError(f"avgpool2d: spatial extents {h}x{w} not divisible by {k}")
-    y = x.data.reshape(h // k, k, w // k, k, c).mean(axis=(1, 3))
-    out = Tensor(y)
+    # the sum, then one division, as in `mean`
+    y = np.add.reduce(x.data.reshape(h // k, k, w // k, k, c), axis=(1, 3))
+    y /= k * k
+    out = _result(y)
     if _trace(x):
         def bwd(g, x=_slot(x), k=k):
             gx = np.repeat(np.repeat(g, k, axis=0), k, axis=1) / (k * k)
@@ -572,17 +594,18 @@ def avgpool2d(x, k=2):
 
 def layernorm(x, gamma, beta):
     """Normalize over the last (channel) axis with a learned affine."""
-    c = x.shape[-1]
+    xd = x.data
+    c = xd.shape[-1]
     if c < 1:
         raise ValueError("layernorm needs at least one channel")
     inv_c = 1.0 / c
     # two full-size buffers: xc, which becomes xhat in place, and y, which
     # holds xc * xc until the output overwrites it
-    mu = x.data.sum(axis=-1, keepdims=True)
+    mu = np.add.reduce(xd, axis=-1, keepdims=True)
     mu *= inv_c
-    xc = x.data - mu
+    xc = xd - mu
     y = xc * xc
-    inv = y.sum(axis=-1, keepdims=True)
+    inv = np.add.reduce(y, axis=-1, keepdims=True)
     inv *= inv_c
     inv += _LN_EPS
     np.sqrt(inv, out=inv)
@@ -591,22 +614,22 @@ def layernorm(x, gamma, beta):
     xhat *= inv
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
-    out = Tensor(y)
+    out = _result(y)
     if _trace(x, gamma, beta):
         def bwd(g, x=_slot(x), gamma=_slot(gamma), beta=_slot(beta), gd=gamma.data,
                 xhat=xhat, inv=inv, c=c, inv_c=inv_c):
             if gamma.requires_grad:
-                _accum(gamma, (g * xhat).reshape(-1, c).sum(axis=0), True)
+                _accum(gamma, np.add.reduce((g * xhat).reshape(-1, c), axis=0), True)
             if beta.requires_grad:
-                _accum(beta, g.reshape(-1, c).sum(axis=0), True)
+                _accum(beta, np.add.reduce(g.reshape(-1, c), axis=0), True)
             if x.requires_grad:
                 # (g gamma - m1 - xhat m2) * inv, in g and one temporary
                 gx = g
                 gx *= gd
-                m1 = gx.sum(axis=-1, keepdims=True)
+                m1 = np.add.reduce(gx, axis=-1, keepdims=True)
                 m1 *= inv_c
                 t = gx * xhat
-                m2 = t.sum(axis=-1, keepdims=True)
+                m2 = np.add.reduce(t, axis=-1, keepdims=True)
                 m2 *= inv_c
                 gx -= m1
                 np.multiply(xhat, m2, out=t)
@@ -619,16 +642,17 @@ def layernorm(x, gamma, beta):
 
 def softmax(x):
     """Row softmax over the last axis, with max-subtraction."""
-    if not np.isfinite(x.data).all():
+    xd = x.data
+    if not np.logical_and.reduce(np.isfinite(xd), axis=None):
         raise FloatingPointError("softmax received non-finite input")
-    s = x.data - x.data.max(axis=-1, keepdims=True)
+    s = xd - np.maximum.reduce(xd, axis=-1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
+    out = _result(s)
     if _trace(x):
         def bwd(g, x=_slot(x), s=s):
             # s * (g - dot), in g
-            dot = (g * s).sum(axis=-1, keepdims=True)
+            dot = np.add.reduce(g * s, axis=-1, keepdims=True)
             g -= dot
             g *= s
             _accum(x, g, True)
@@ -656,9 +680,12 @@ def bilinear_resize(x, out_h, out_w):
     c0, c1, cf = _interp_indices(w, out_w, x.dtype)
     rfc = rf[:, None, None]
     cfc = cf[None, :, None]
-    tmp = x.data[r0] + rfc * (x.data[r1] - x.data[r0])
-    y = tmp[:, c0] + cfc * (tmp[:, c1] - tmp[:, c0])
-    out = Tensor(y)
+    xd = x.data
+    tmp = xd[r0] + rfc * (xd[r1] - xd[r0])
+    # np.take gives C order, where the fancy index tmp[:, c0] would not
+    t0 = np.take(tmp, c0, axis=1)
+    y = t0 + cfc * (np.take(tmp, c1, axis=1) - t0)
+    out = _result(y)
     if _trace(x):
         def bwd(g, x=_slot(x), r0=r0, r1=r1, rfc=rfc, c0=c0, c1=c1, cfc=cfc, h=h, w=w):
             dtmp = np.zeros((len(r0), w, g.shape[2]), dtype=g.dtype)
@@ -677,7 +704,7 @@ def bilinear_resize(x, out_h, out_w):
 # ---------------------------------------------------------------------------
 
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape))
+    out = _result(x.data.reshape(shape))
     if _trace(x):
         def bwd(g, x=_slot(x)):
             _accum(x, g.reshape(x.shape), True)
@@ -686,7 +713,7 @@ def reshape(x, shape):
 
 
 def transpose(x, axes=None):
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
+    out = _result(np.ascontiguousarray(x.data.transpose(axes)))
     if _trace(x):
         def bwd(g, x=_slot(x), axes=axes):
             inv = None if axes is None else np.argsort(axes)
@@ -696,7 +723,7 @@ def transpose(x, axes=None):
 
 
 def concat(xs, axis=0):
-    out = Tensor(np.concatenate([x.data for x in xs], axis=axis))
+    out = _result(np.concatenate([x.data for x in xs], axis=axis))
     if _ACTIVE_TAPE is not None and any(x.requires_grad for x in xs):
         sizes = [x.shape[axis] for x in xs]
         def bwd(g, xs=[_slot(x) for x in xs], sizes=sizes, axis=axis):
@@ -711,10 +738,18 @@ def concat(xs, axis=0):
 
 
 def slice_axis(x, axis, start, stop):
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = Tensor(np.ascontiguousarray(x.data[idx]))
+    """Elements start to stop - 1 of x along `axis`, which may be negative:
+    a non-empty range inside the axis."""
+    xd = x.data
+    ndim = xd.ndim
+    if not -ndim <= axis < ndim:
+        raise ValueError(f"slice_axis: axis {axis} is out of range for {ndim} dimensions")
+    size = xd.shape[axis]
+    if not 0 <= start < stop <= size:
+        raise ValueError(f"slice_axis: [{start}, {stop}) is not a non-empty range "
+                         f"inside an axis of size {size}")
+    idx = (slice(None),) * (axis % ndim) + (slice(start, stop),)
+    out = _result(np.ascontiguousarray(xd[idx]))
     if _trace(x):
         def bwd(g, x=_slot(x), idx=idx):
             # add into the slice: several slices of one tensor share a buffer
@@ -738,9 +773,18 @@ def sum(x):  # noqa: A001 - deliberate op name
 def mean(x, axis=None):
     """The mean over `axis`, which is kept with size 1, or over every
     element when `axis` is None."""
-    out = Tensor(x.data.mean(axis=axis, keepdims=axis is not None))
+    xd = x.data
+    if axis is None:
+        n = xd.size
+        out = Tensor(xd.mean())
+    else:
+        # the sum, then one division: ndarray.mean's bits (its float32
+        # quotient, taken in float64 and rounded once, is the same)
+        n = xd.shape[axis]
+        y = np.add.reduce(xd, axis=axis, keepdims=True)
+        y /= n
+        out = _result(y)
     if _trace(x):
-        n = x.data.size if axis is None else x.data.shape[axis]
         def bwd(g, x=_slot(x), n=n):
             _accum(x, np.broadcast_to(g, x.shape) / n, True)
         _emit(out, bwd)

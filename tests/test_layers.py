@@ -72,6 +72,33 @@ def test_attention_weights_are_row_stochastic():
     assert np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_head_average_is_bitwise_the_mean_of_the_stacked_maps(monkeypatch, heads, dtype):
+    attn = MultiHeadAttention(np.random.default_rng(38), 4 * heads, heads)
+    for _, p in attn.named_params():
+        p.data = p.data.astype(dtype)
+    maps = []
+    softmax = layers.T.softmax
+
+    def keeping(x):
+        out = softmax(x)
+        maps.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(layers.T, "softmax", keeping)
+    rng = np.random.default_rng(39)
+    for n, m in [(16, 4), (37, 11)]:
+        maps.clear()
+        q = Tensor(rng.standard_normal((n, 4 * heads)).astype(dtype))
+        kv = Tensor(rng.standard_normal((m, 4 * heads)).astype(dtype))
+        _, avg = attn(q, kv, need_weights=True)
+        assert len(maps) == heads
+        want = np.mean(np.stack(maps), axis=0)
+        assert avg.dtype == want.dtype and avg.shape == want.shape == (n, m)
+        assert avg.tobytes() == want.tobytes()
+
+
 def test_attention_rejects_indivisible_heads():
     with pytest.raises(ValueError):
         MultiHeadAttention(np.random.default_rng(0), 6, 4)

@@ -3,6 +3,7 @@ coverage."""
 
 import hashlib
 import struct
+import sys
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -212,6 +213,55 @@ def test_handing_gradients_over_matches_copying_them(monkeypatch, cfg):
     for (name, a), (_, b) in zip(handed, copied):
         assert a is not None and b is not None, name
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _op_output_problem(data):
+    """What is wrong with an array an op hands to `tensor._result`, or None:
+    it must be a C-contiguous float32 or float64 ndarray of ndim >= 1."""
+    if type(data) is not np.ndarray:
+        return f"a {type(data).__name__}"
+    if data.dtype not in (np.float32, np.float64):
+        return f"dtype {data.dtype}"
+    if data.ndim < 1:
+        return "a 0-d array"
+    if not data.flags.c_contiguous:
+        return f"a strided array of strides {data.strides}"
+    return None
+
+
+def test_every_op_output_keeps_the_private_constructors_contract(monkeypatch):
+    base = np.zeros((4, 6))
+    for bad in (base[:, ::2], base.astype(np.int64), base.astype(np.float32)[0, 0],
+                np.zeros(()), np.zeros(3, np.complex128), [1.0]):
+        assert _op_output_problem(bad) is not None
+    result = T._result
+    calls, problems = [0], set()
+
+    def checking(data):
+        calls[0] += 1
+        problem = _op_output_problem(data)
+        if problem is not None:
+            problems.add(f"{sys._getframe(1).f_code.co_name}: {problem}")
+        return result(data)
+
+    monkeypatch.setattr(T, "_result", checking)
+    for cfg in [preset("toy")] + criterion_7_variants():
+        for dtype in (np.float32, np.float64):
+            model = cast_model(build_model(cfg, seed=0), dtype)
+            image = Tensor(random_image(32, seed=5).data.astype(dtype))
+            model.forward(image)
+            image.requires_grad = True
+            tape = GradTape()
+            with tape:
+                logits, _ = model.forward(image)
+                # sum and mean over every element make 0-d results, which
+                # go the public way
+                loss = T.add(cross_entropy(logits, 2),
+                             T.add(T.sum(logits), T.mean(logits)))
+            T.backward(tape, loss)
+            assert image.grad is not None, cfg.name
+    assert calls[0] > 0
+    assert problems == set()
 
 
 def test_a_toy_backward_copies_only_shared_arrays_slices_and_transposes(monkeypatch):

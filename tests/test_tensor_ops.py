@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -397,6 +398,17 @@ def test_tensor_refuses_complex_data(data):
         Tensor(data)
 
 
+def test_tensor_copies_a_strided_view_and_casts_other_real_data():
+    # ops hand their own arrays to a private constructor; data from outside
+    # still goes through every check and conversion
+    base = np.arange(12.0).reshape(3, 4)
+    t = Tensor(base[:, ::2])
+    assert t.data.flags.c_contiguous and not np.shares_memory(t.data, base)
+    assert t.data.tobytes() == base[:, ::2].copy().tobytes()
+    assert Tensor(np.arange(3)).data.dtype == np.float32
+    assert Tensor(np.float64(2.5)).data.shape == (1,)
+
+
 def test_backward_rejects_non_scalar_loss():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     tape = GradTape()
@@ -435,6 +447,22 @@ def test_reshape_transpose_concat_slice_round_trip():
     b = T.slice_axis(flat, 0, 10, 24)
     rejoined = T.concat([a, b], axis=0).data
     assert (rejoined == flat.data).all()
+
+
+@pytest.mark.parametrize("axis, start, stop, bad", [
+    (2, 0, 1, "2"), (-3, 0, 1, "-3"), (99, 0, 1, "99"),
+    (1, -1, 4, "-1"), (1, 2, 99, "99"), (1, 4, 4, "[4, 4)"), (1, 5, 3, "[5, 3)"),
+], ids=["axis2", "axis-3", "axis99", "start-1", "stop99", "empty", "reversed"])
+def test_slice_axis_refuses_an_axis_or_range_outside_the_tensor(axis, start, stop, bad):
+    x = Tensor(np.zeros((3, 8)))
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        T.slice_axis(x, axis, start, stop)
+
+
+def test_slice_axis_takes_a_negative_axis():
+    x = np.arange(24.0).reshape(3, 8)
+    assert T.slice_axis(Tensor(x), -1, 2, 5).data.tobytes() == x[:, 2:5].copy().tobytes()
+    assert T.slice_axis(Tensor(x), -2, 1, 3).data.tobytes() == x[1:3].tobytes()
 
 
 def test_inputs_of_one_op_get_separate_gradient_buffers():
