@@ -1,4 +1,5 @@
-"""Convolution kernels in numpy: one GEMM or one einsum per contraction.
+"""Convolution kernels in numpy: one GEMM (`np.dot`) or one einsum per
+contraction.
 
 Two groupings are supported, the two the model uses; `tensor.conv2d`
 rejects every other grouping before it gets here. Inputs are read through
@@ -91,7 +92,7 @@ def conv_forward(xp, w, stride, groups):
         return _depthwise(xp, w[:, :, 0, :])
     ho = (xp.shape[0] - kh) // stride + 1
     wo = (xp.shape[1] - kw) // stride + 1
-    return (_im2col(xp, kh, kw, stride) @ w.reshape(-1, cout)).reshape(ho, wo, cout)
+    return np.dot(_im2col(xp, kh, kw, stride), w.reshape(-1, cout)).reshape(ho, wo, cout)
 
 
 def conv_backward(xp, w, dy, need_dx, stride, groups):
@@ -111,10 +112,10 @@ def conv_backward(xp, w, dy, need_dx, stride, groups):
         dyp[kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = dy
         return _depthwise(dyp, w[::-1, ::-1, 0, :]), dw
     dy2 = dy.reshape(-1, cout)
-    dw = (_im2col(xp, kh, kw, stride).T @ dy2).reshape(w.shape)
+    dw = np.dot(_im2col(xp, kh, kw, stride).T, dy2).reshape(w.shape)
     if not need_dx:
         return None, dw
-    dcols = (dy2 @ w.reshape(-1, cout).T).reshape(ho, wo, kh, kw, cin)
+    dcols = np.dot(dy2, w.reshape(-1, cout).T).reshape(ho, wo, kh, kw, cin)
     if kh == kw == stride == 1:
         return dcols.reshape(hp, wp, cin), dw
     dxp = np.zeros_like(xp)

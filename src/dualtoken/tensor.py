@@ -21,6 +21,7 @@ so analytic cost models can be checked against an executed forward pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -213,8 +214,9 @@ def _accum(t, g, owned):
     broadcast view (the backward of `sum`), the one array that `add` gives
     both inputs, and slices and transposes of an output gradient. A g that
     is reduced to t's shape or cast to its dtype is a fresh array."""
-    if g.shape != t.shape or g.dtype != t.dtype:
-        reduced = _unbroadcast(g.astype(t.dtype, copy=False), t.shape)
+    dtype = t.dtype
+    if g.shape != t.shape or g.dtype != dtype:
+        reduced = _unbroadcast(g if g.dtype == dtype else g.astype(dtype), t.shape)
         owned = owned or not np.may_share_memory(reduced, g)
         g = reduced
     if t.grad is None:
@@ -509,16 +511,17 @@ def matmul(a, b):
         raise ValueError(f"matmul inner dimensions disagree: {ad.shape} vs {bd.shape}")
     n = bd.shape[1]
     _count(m * k * n)
-    out = _result(ad @ bd)
+    # every 2-d product goes through np.dot: the bits of `@` without the
+    # matmul ufunc's dispatch (a tier-1 test checks each shape the model
+    # multiplies)
+    out = _result(np.dot(ad, bd))
     if _trace(a, b):
         # each input's gradient reads the other operand
         def bwd(g, a=_slot(a), b=_slot(b), ad=ad, bd=bd):
-            # a product with an inner dimension of 1 is an outer product:
-            # np.dot gives the GEMM's bits in a fraction of its time
             if a.requires_grad:
-                _accum(a, np.dot(g, bd.T) if n == 1 else g @ bd.T, True)
+                _accum(a, np.dot(g, bd.T), True)
             if b.requires_grad:
-                _accum(b, np.dot(ad.T, g) if m == 1 else ad.T @ g, True)
+                _accum(b, np.dot(ad.T, g), True)
         _emit(out, bwd)
     return out
 
@@ -660,13 +663,18 @@ def softmax(x):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _interp_indices(n_in, n_out, dtype):
+    """Source indices and weights of a resize from n_in to n_out, made once per
+    (n_in, n_out, dtype) and shared, so read-only."""
     # align-corners-false source coordinates, clamped to the edge
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * n_in / n_out - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(np.int64)
     i1 = np.minimum(i0 + 1, n_in - 1)
     f = (src - i0).astype(dtype)
+    for arr in (i0, i1, f):
+        arr.flags.writeable = False
     return i0, i1, f
 
 
@@ -715,8 +723,14 @@ def reshape(x, shape):
 def transpose(x, axes=None):
     out = _result(np.ascontiguousarray(x.data.transpose(axes)))
     if _trace(x):
-        def bwd(g, x=_slot(x), axes=axes):
-            inv = None if axes is None else np.argsort(axes)
+        inv = None
+        if axes is not None:
+            # the inverse permutation; a negative axis counts from the end
+            inv = [0] * len(axes)
+            for i, a in enumerate(axes):
+                inv[a] = i
+            inv = tuple(inv)
+        def bwd(g, x=_slot(x), inv=inv):
             _accum(x, g.transpose(inv), False)
         _emit(out, bwd)
     return out
@@ -725,14 +739,17 @@ def transpose(x, axes=None):
 def concat(xs, axis=0):
     out = _result(np.concatenate([x.data for x in xs], axis=axis))
     if _ACTIVE_TAPE is not None and any(x.requires_grad for x in xs):
-        sizes = [x.shape[axis] for x in xs]
-        def bwd(g, xs=[_slot(x) for x in xs], sizes=sizes, axis=axis):
-            offs = np.cumsum([0] + sizes)
-            for x, a, b in zip(xs, offs[:-1], offs[1:]):
+        # each input's part of the output, as an index
+        lead = (slice(None),) * (axis % out.data.ndim)
+        idxs, start = [], 0
+        for x in xs:
+            stop = start + x.data.shape[axis]
+            idxs.append(lead + (slice(start, stop),))
+            start = stop
+        def bwd(g, xs=[_slot(x) for x in xs], idxs=idxs):
+            for x, idx in zip(xs, idxs):
                 if x.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(a, b)
-                    _accum(x, g[tuple(idx)], False)
+                    _accum(x, g[idx], False)
         _emit(out, bwd)
     return out
 
@@ -755,14 +772,15 @@ def slice_axis(x, axis, start, stop):
             # add into the slice: several slices of one tensor share a buffer
             if x.grad is None:
                 x.grad = np.zeros(x.shape, x.dtype)
-            x.grad[idx] += g
+            view = x.grad[idx]
+            np.add(view, g, out=view)
         _emit(out, bwd)
     return out
 
 
 def sum(x):  # noqa: A001 - deliberate op name
     """The sum of every element of x."""
-    out = Tensor(x.data.sum())
+    out = Tensor(np.add.reduce(x.data, axis=None))
     if _trace(x):
         def bwd(g, x=_slot(x)):
             _accum(x, np.broadcast_to(g, x.shape), False)
@@ -774,16 +792,12 @@ def mean(x, axis=None):
     """The mean over `axis`, which is kept with size 1, or over every
     element when `axis` is None."""
     xd = x.data
-    if axis is None:
-        n = xd.size
-        out = Tensor(xd.mean())
-    else:
-        # the sum, then one division: ndarray.mean's bits (its float32
-        # quotient, taken in float64 and rounded once, is the same)
-        n = xd.shape[axis]
-        y = np.add.reduce(xd, axis=axis, keepdims=True)
-        y /= n
-        out = _result(y)
+    # the sum, then one division: ndarray.mean's bits (its float32
+    # quotient, taken in float64 and rounded once, is the same)
+    n = xd.size if axis is None else xd.shape[axis]
+    y = np.add.reduce(xd, axis=axis, keepdims=True)
+    y /= n
+    out = Tensor(y.reshape(())) if axis is None else _result(y)
     if _trace(x):
         def bwd(g, x=_slot(x), n=n):
             _accum(x, np.broadcast_to(g, x.shape) / n, True)

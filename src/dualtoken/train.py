@@ -48,10 +48,10 @@ def cross_entropy(logits, label):
     if not 0 <= label < k:
         raise ValueError(f"label {label} out of range [0, {k})")
     z = logits.data
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise FloatingPointError("cross_entropy received non-finite logits")
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
+    m = np.maximum.reduce(z, axis=None)
+    lse = m + np.log(np.add.reduce(np.exp(z - m), axis=None))
     out = Tensor(np.asarray(lse - z[label], dtype=z.dtype))
     if T._trace(logits):
         probs = np.exp(z - lse)

@@ -158,7 +158,10 @@ def criterion_7_variants():
     return [
         _variant("window2", local_kind="window_msa", window=2),
         _variant("mix_mlp", mlp_kind="mix"),
-        _variant("one_step", ds_kind="one_step"),
+        # on toy's 2x2 grid the one-step pool is the step-wise schedule's
+        # own; on a 1x1 grid stage 1 pools 4x once instead of pooling 2x,
+        # convolving and pooling 2x
+        _variant("one_step", ds_kind="one_step", token_grid=1),
         _variant("normal_tokens", global_mode="normal_msa"),
         _variant("posaware_msa", global_mode="position_aware_msa"),
     ] + [_variant(f"grid{g}", token_grid=g) for g in range(3, 9)]

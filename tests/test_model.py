@@ -215,6 +215,27 @@ def test_handing_gradients_over_matches_copying_them(monkeypatch, cfg):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+def test_the_one_step_variant_runs_a_downsampler_unlike_the_step_wise_one():
+    # on toy's 2x2 grid the two schedules are one, and the variant ran
+    # exactly what toy runs
+    one_step = next(cfg for cfg in criterion_7_variants() if cfg.name == "one_step")
+
+    def schedules(cfg):
+        model = build_model(cfg, seed=0)
+        return [(b.ds.pool, len(b.ds.conv)) for blocks in model.stages for b in blocks]
+
+    assert schedules(one_step)[0] == (4, 0)
+    assert schedules(replace(one_step, ds_kind="step_wise"))[0] == (2, 1)
+
+    def digest(cfg):
+        h = hashlib.sha256()
+        for _, grad in _gradients(cfg):
+            h.update(grad.tobytes())
+        return h.hexdigest()
+
+    assert digest(one_step) != digest(preset("toy"))
+
+
 def _op_output_problem(data):
     """What is wrong with an array an op hands to `tensor._result`, or None:
     it must be a C-contiguous float32 or float64 ndarray of ndim >= 1."""

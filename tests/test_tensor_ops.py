@@ -8,7 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dualtoken import kernels
 from dualtoken import tensor as T
+from dualtoken.model import build_model
 from dualtoken.tensor import GradTape, Tensor
 
 
@@ -84,23 +86,60 @@ def test_matmul_matches_naive_oracle(dtype):
         assert np.abs(got - want).max() <= tol_for(dtype)
 
 
+def _model_product_shapes():
+    """(m, k, n) of every 2-d product that a toy and a dualtoken_t_mix 224^2
+    forward take: each `T.matmul`, and each dense conv's GEMM, whose forward
+    and backward multiply the same layouts as `T.matmul`'s (cols @ W, and
+    dy @ W.T and cols.T @ dy)."""
+    shapes = set()
+    matmul, conv_forward = T.matmul, kernels.conv_forward
+
+    def caught_matmul(a, b):
+        shapes.add(a.shape + b.shape[1:])
+        return matmul(a, b)
+
+    def caught_conv(xp, w, stride, groups):
+        if groups == 1:
+            kh, kw, cin, cout = w.shape
+            ho = (xp.shape[0] - kh) // stride + 1
+            wo = (xp.shape[1] - kw) // stride + 1
+            shapes.add((ho * wo, kh * kw * cin, cout))
+        return conv_forward(xp, w, stride, groups)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "matmul", caught_matmul)
+        mp.setattr(kernels, "conv_forward", caught_conv)
+        for name in ("toy", "dualtoken_t_mix"):
+            model = build_model(name, seed=0)
+            side = model.cfg.input_resolution
+            image = np.random.default_rng(1).standard_normal((side, side, 3))
+            model.forward(Tensor(image.astype(np.float32)), want_activations=False)
+    return sorted(shapes)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_rank_one_matmul_gradients_are_bitwise_the_gemm(dtype):
-    # with one row in a, a's transpose times g has an inner dimension of 1, as
-    # has g times b's transpose with one column in b; the backward takes that
-    # outer product with np.dot, which must give the GEMM's bits
-    rng = np.random.default_rng(12)
-    for m, k, n in [(1, 7, 5), (1, 1280, 1000), (6, 9, 1), (1, 8, 1), (1, 1, 3)]:
+def test_matmul_and_its_gradients_are_bitwise_np_matmul(dtype):
+    # products go through np.dot, which picks its BLAS call by the operands'
+    # shapes, as `@` does: a row, a column or an inner dimension of 1 is
+    # where the two could part, so those cases come first
+    shapes = [(1, 7, 5), (1, 1280, 1000), (6, 9, 1), (1, 8, 1), (1, 1, 3), (9, 1, 7)]
+    shapes += _model_product_shapes()
+    rng = np.random.default_rng(13)
+    for m, k, n in shapes:
         a = Tensor(rng.standard_normal((m, k)).astype(dtype), requires_grad=True)
         b = Tensor(rng.standard_normal((k, n)).astype(dtype), requires_grad=True)
         g = rng.standard_normal((m, n)).astype(dtype)
         tape = GradTape()
         with tape:
-            loss = T.sum(T.mul(T.matmul(a, b), Tensor(g)))
+            out = T.matmul(a, b)
+            loss = T.sum(T.mul(out, Tensor(g)))
         T.backward(tape, loss)
-        for grad, want in ((a.grad, g @ b.data.T), (b.grad, a.data.T @ g)):
-            assert grad.dtype == dtype and grad.flags.c_contiguous
-            assert grad.shape == want.shape and grad.tobytes() == want.tobytes()
+        for got, want in ((out.data, np.matmul(a.data, b.data)),
+                          (a.grad, np.matmul(g, b.data.T)),
+                          (b.grad, np.matmul(a.data.T, g))):
+            assert got.dtype == dtype and got.flags.c_contiguous, (m, k, n)
+            assert got.shape == want.shape, (m, k, n)
+            assert got.tobytes() == want.tobytes(), (m, k, n)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -463,6 +502,35 @@ def test_slice_axis_takes_a_negative_axis():
     x = np.arange(24.0).reshape(3, 8)
     assert T.slice_axis(Tensor(x), -1, 2, 5).data.tobytes() == x[:, 2:5].copy().tobytes()
     assert T.slice_axis(Tensor(x), -2, 1, 3).data.tobytes() == x[1:3].tobytes()
+
+
+@pytest.mark.parametrize("axes", [(2, 0, 1), (-1, 0, 1), (-1, -3, -2), (1, -1, 0)])
+def test_transpose_gradient_undoes_the_permutation(axes):
+    # a negative axis counts from the end, in the backward as in np.transpose
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    g = rng.standard_normal(np.transpose(x.data, axes).shape)
+    tape = GradTape()
+    with tape:
+        loss = T.sum(T.mul(T.transpose(x, axes), Tensor(g)))
+    T.backward(tape, loss)
+    want = np.transpose(g, np.argsort([a % 3 for a in axes]))
+    assert x.grad.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1, -2])
+def test_concat_gradient_splits_along_the_axis(axis):
+    rng = np.random.default_rng(20)
+    shapes = [(3, 2), (3, 4), (3, 1)] if axis % 2 else [(2, 3), (4, 3), (1, 3)]
+    xs = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    g = rng.standard_normal(np.concatenate([x.data for x in xs], axis=axis).shape)
+    tape = GradTape()
+    with tape:
+        loss = T.sum(T.mul(T.concat(xs, axis=axis), Tensor(g)))
+    T.backward(tape, loss)
+    parts = np.split(g, np.cumsum([x.shape[axis] for x in xs])[:-1], axis=axis)
+    for x, want in zip(xs, parts):
+        assert x.grad.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_inputs_of_one_op_get_separate_gradient_buffers():
