@@ -6,8 +6,6 @@ given, in a fixed order, so one seed always yields the same weights."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -119,7 +117,6 @@ class MultiHeadAttention(Layer):
         if channels % heads != 0:
             raise ValueError(f"channels {channels} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = channels // heads
         self.q_proj = Linear(rng, channels, channels)
         self.k_proj = Linear(rng, channels, channels)
         self.v_proj = Linear(rng, channels, channels)
@@ -128,22 +125,9 @@ class MultiHeadAttention(Layer):
     def __call__(self, q_src, kv_src=None, need_weights=False):
         if kv_src is None:
             kv_src = q_src
-        d = self.head_dim
-        # scale Q and transpose K once; each head slices its rows/columns
-        q = T.scale(self.q_proj(q_src), 1.0 / math.sqrt(d))
-        kt = T.transpose(self.k_proj(kv_src))
-        v = self.v_proj(kv_src)
-        outs = []
-        weights = []
-        for h in range(self.heads):
-            qh = T.slice_axis(q, 1, h * d, (h + 1) * d)
-            kth = T.slice_axis(kt, 0, h * d, (h + 1) * d)
-            vh = T.slice_axis(v, 1, h * d, (h + 1) * d)
-            attn = T.softmax(T.matmul(qh, kth))
-            outs.append(T.matmul(attn, vh))
-            if need_weights:
-                weights.append(attn.data)
-        out = self.out_proj(T.concat(outs, axis=1))
+        y, weights = T.attention(self.q_proj(q_src), self.k_proj(kv_src),
+                                 self.v_proj(kv_src), self.heads)
+        out = self.out_proj(y)
         if need_weights:
             # the maps added in head order and divided once: the bits of
             # np.mean over the stacked maps, without the stack

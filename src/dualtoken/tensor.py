@@ -14,6 +14,9 @@ activation that no backward reads dies with its tensor.
 the arrays its closure saved, is released as soon as it has run. The tape
 also notes the record of each leaf's first use, so that `backward` can tell
 a caller the moment a leaf's gradient is complete (`on_leaf_done`).
+One op, `attention`, stands for a chain of others: it runs multi-head
+attention through `matmul` and `softmax` on untaped tensors and records a
+single closure that replays the chain's backward, bit for bit.
 
 A module-level MAC counter (see `count_macs`) instruments matmul and conv2d
 so analytic cost models can be checked against an executed forward pass.
@@ -189,14 +192,20 @@ def backward(tape, loss, on_leaf_done=None):
 
 
 def _unbroadcast(g, shape):
+    """g summed over the axes that broadcasting added or stretched to give
+    `shape`; a g that does not broadcast from `shape` raises ValueError."""
     if g.shape == shape:
         return g
+    g_shape = g.shape
     while g.ndim > len(shape):
         g = np.add.reduce(g, axis=0)
     for ax, (gs, ss) in enumerate(zip(g.shape, shape)):
         if ss == 1 and gs != 1:
             g = np.add.reduce(g, axis=ax, keepdims=True)
-    return g.reshape(shape)
+    if g.shape != shape:
+        raise ValueError(f"a gradient of shape {g_shape} does not reduce to "
+                         f"the shape {shape} of its tensor")
+    return g
 
 
 def _accum(t, g, owned):
@@ -654,13 +663,86 @@ def softmax(x):
     out = _result(s)
     if _trace(x):
         def bwd(g, x=_slot(x), s=s):
-            # s * (g - dot), in g
-            dot = np.add.reduce(g * s, axis=-1, keepdims=True)
-            g -= dot
-            g *= s
-            _accum(x, g, True)
+            _accum(x, _softmax_grad(g, s), True)
         _emit(out, bwd)
     return out
+
+
+def _softmax_grad(g, s):
+    """The gradient of a row softmax whose output is s, s * (g - dot) with
+    dot the row sums of g * s, written into g and returned."""
+    dot = np.add.reduce(g * s, axis=-1, keepdims=True)
+    g -= dot
+    g *= s
+    return g
+
+
+def attention(q, k, v, heads):
+    """Multi-head scaled dot-product attention of Tq x C queries over Tk x C
+    keys and values. Head h takes the h-th block of d = C / heads columns of
+    each: softmax(q_h k_h^T / sqrt(d)) v_h. Returns the Tq x C output (the
+    heads' outputs side by side) and the list of the heads' Tq x Tk maps.
+
+    The forward is the chain scale, transpose, per head the three inputs'
+    slices, `matmul`, `softmax` and `matmul`, then a concat, run on untaped
+    tensors: every product still goes through `matmul` and is counted, and
+    each softmax checks its input. The op records one closure, which runs
+    the chain's backward on the same arrays in the same order, so its
+    gradients are the chain's bits: the heads from last to first, each
+    adding into zeroed q, k and v buffers (dK goes into k's layout, with no
+    transposed copy), and the 1/sqrt(d) scale last. Each head's saved
+    arrays are dropped once used."""
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 2 or kd.ndim != 2 or kd.shape != vd.shape or qd.shape[1] != kd.shape[1]:
+        raise ValueError(f"attention expects Tq x C queries and Tk x C keys and values, "
+                         f"got {qd.shape}, {kd.shape} and {vd.shape}")
+    c = qd.shape[1]
+    if heads < 1 or c % heads:
+        raise ValueError(f"attention: {c} channels do not split into {heads} heads")
+    d = c // heads
+    s = 1.0 / math.sqrt(d)
+    qs = qd * s
+    kt = np.ascontiguousarray(kd.T)
+    outs, maps, saved = [], [], []
+    for h in range(heads):
+        cols = slice(h * d, (h + 1) * d)
+        qh = np.ascontiguousarray(qs[:, cols])
+        kth = kt[cols]
+        vh = np.ascontiguousarray(vd[:, cols])
+        a = softmax(matmul(_result(qh), _result(kth))).data
+        outs.append(matmul(_result(a), _result(vh)).data)
+        maps.append(a)
+        saved.append((qh, kth, vh, a))
+    out = _result(np.concatenate(outs, axis=1))
+    if _trace(q, k, v):
+        def bwd(g, q=_slot(q), k=_slot(k), v=_slot(v), saved=saved, d=d, s=s):
+            dq = np.zeros(q.shape, q.dtype) if q.requires_grad else None
+            dk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
+            dv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
+            for h in reversed(range(len(saved))):
+                qh, kth, vh, a = saved.pop()
+                cols = (slice(None), slice(h * d, (h + 1) * d))
+                gh = np.ascontiguousarray(g[cols])
+                if dq is not None or dk is not None:
+                    da = _softmax_grad(np.dot(gh, vh.T), a)
+                if dv is not None:
+                    view = dv[cols]
+                    np.add(view, np.dot(a.T, gh), out=view)
+                if dq is not None:
+                    view = dq[cols]
+                    np.add(view, np.dot(da, kth.T), out=view)
+                if dk is not None:
+                    view = dk[cols]
+                    np.add(view, np.dot(qh.T, da).T, out=view)
+            if dv is not None:
+                _accum(v, dv, True)
+            if dk is not None:
+                _accum(k, dk, True)
+            if dq is not None:
+                dq *= s
+                _accum(q, dq, True)
+        _emit(out, bwd)
+    return out, maps
 
 
 @functools.lru_cache(maxsize=None)

@@ -111,6 +111,23 @@ def test_layernorm_beta_gradient(shape):
     assert report.passed and report.checked == shape[-1]
 
 
+@pytest.mark.parametrize("wrt", ["q", "k", "v"])
+def test_attention_gradient(wrt):
+    # 3 queries over 4 keys in 2 heads; the weights make every output count
+    rng = np.random.default_rng(43)
+    inputs = {"q": rng.standard_normal((3, 4)), "k": rng.standard_normal((4, 4)),
+              "v": rng.standard_normal((4, 4))}
+    weight = Tensor(1.0 + rng.random((3, 4)))
+
+    def f(x):
+        args = {name: Tensor(a) for name, a in inputs.items()}
+        args[wrt] = x
+        return T.sum(T.mul(T.attention(args["q"], args["k"], args["v"], 2)[0], weight))
+
+    report = grad_check(f, Tensor(inputs[wrt], requires_grad=True))
+    assert report.passed and report.checked == inputs[wrt].size
+
+
 # -- the model suite's resumed probes -----------------------------------------
 
 def full_forward_gradcheck(max_coords=16, preset_name="toy"):

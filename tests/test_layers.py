@@ -14,7 +14,7 @@ def reference_mhsa(attn, q_src, kv_src):
     q = q_src @ attn.q_proj.weight.data + attn.q_proj.bias.data
     k = kv_src @ attn.k_proj.weight.data + attn.k_proj.bias.data
     v = kv_src @ attn.v_proj.weight.data + attn.v_proj.bias.data
-    d = attn.head_dim
+    d = q.shape[1] // attn.heads
     heads = []
     for h in range(attn.heads):
         qh, kh, vh = (m[:, h * d:(h + 1) * d] for m in (q, k, v))

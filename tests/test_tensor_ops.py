@@ -274,6 +274,78 @@ def test_softmax_rejects_non_finite_input():
         T.softmax(Tensor(bad))
 
 
+def composed_attention(q, k, v, heads):
+    """The chain of primitives that `T.attention` runs as one op: Q scaled,
+    K transposed, per head three slices, two products and a softmax, then
+    a concat."""
+    d = q.shape[1] // heads
+    qs = T.scale(q, 1.0 / math.sqrt(d))
+    kt = T.transpose(k)
+    outs, maps = [], []
+    for h in range(heads):
+        qh = T.slice_axis(qs, 1, h * d, (h + 1) * d)
+        kth = T.slice_axis(kt, 0, h * d, (h + 1) * d)
+        vh = T.slice_axis(v, 1, h * d, (h + 1) * d)
+        a = T.softmax(T.matmul(qh, kth))
+        outs.append(T.matmul(a, vh))
+        maps.append(a.data)
+    return T.concat(outs, axis=1), maps
+
+
+# (Tq, Tk, C, heads, inputs that take gradients)
+_ATTENTION_CASES = {
+    "one_head": (5, 5, 4, 1, "qkv"),
+    "one_key": (4, 1, 8, 2, "qkv"),
+    "tq_ne_tk": (3, 7, 12, 3, "qkv"),
+    "eight_heads": (4, 12, 32, 8, "qkv"),
+    "v_only": (4, 6, 8, 2, "v"),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", list(_ATTENTION_CASES))
+def test_attention_is_bitwise_the_composed_chain(case, dtype):
+    tq, tk, c, heads, grads = _ATTENTION_CASES[case]
+    rng = np.random.default_rng(42)
+    arrays = [rng.standard_normal(shape).astype(dtype)
+              for shape in ((tq, c), (tk, c), (tk, c))]
+    weight = Tensor(rng.standard_normal((tq, c)).astype(dtype))
+
+    def run(attention):
+        q, k, v = (Tensor(a.copy(), requires_grad=name in grads)
+                   for name, a in zip("qkv", arrays))
+        tape = GradTape()
+        with tape:
+            out, maps = attention(q, k, v, heads)
+            records = len(tape)
+            loss = T.sum(T.mul(out, weight))
+        T.backward(tape, loss)
+        return out.data, maps, [t.grad for t in (q, k, v)], records
+
+    out, maps, grads_got, records = run(T.attention)
+    want_out, want_maps, grads_want, _ = run(composed_attention)
+    assert records == 1
+    assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
+    assert [m.tobytes() for m in maps] == [m.tobytes() for m in want_maps]
+    for name, got, want in zip("qkv", grads_got, grads_want):
+        assert (got is None) == (name not in grads), name
+        if got is not None:
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), name
+    if tk == 1:
+        # one key: every softmax row is exactly 1, whatever the queries
+        assert not np.any(grads_got[0]) and not np.any(grads_got[1])
+
+
+def test_attention_refuses_inputs_that_do_not_fit():
+    x = Tensor(np.zeros((3, 8)))
+    with pytest.raises(ValueError, match="heads"):
+        T.attention(x, x, x, 3)
+    with pytest.raises(ValueError, match="keys and values"):
+        T.attention(x, x, Tensor(np.zeros((2, 8))), 2)
+    with pytest.raises(ValueError, match="keys and values"):
+        T.attention(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), 2)
+
+
 def test_gelu_and_sigmoid_reference_points():
     x = Tensor(np.array([0.0, 1.0, -1.0]))
     g = T.gelu(x).data
@@ -427,6 +499,14 @@ def test_broadcast_gradient_unbroadcasts_to_parameter_shape():
     assert x.grad.shape == (3, 4)
     assert b.grad.shape == (4,)
     assert (b.grad == 3.0).all()
+
+
+def test_a_gradient_that_does_not_reduce_to_its_tensors_shape_is_refused():
+    # same size, other shape: a reshape would pass it on without an error
+    x = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+    with pytest.raises(ValueError, match=r"\(4, 2, 3\).*\(2, 3, 4\)"):
+        T._accum(x, np.ones((4, 2, 3)), True)
+    assert x.grad is None
 
 
 @pytest.mark.parametrize("data", [np.array([1 + 2j]), [0.5j, 1.0], np.zeros((2, 2), np.complex64)],
