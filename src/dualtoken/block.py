@@ -6,6 +6,8 @@ one-step downsampling)."""
 
 from __future__ import annotations
 
+import math
+
 from . import tensor as T
 from .layers import Conv2d, Layer, LayerNorm, Linear, MultiHeadAttention, prefixed
 
@@ -45,29 +47,32 @@ class ConvEncoder(Layer):
 
 class WindowAttentionLocal(Layer):
     """Multi-head self-attention inside non-overlapping windows, plus the
-    residual; the ablation alternative to the conv encoder."""
+    residual; the ablation alternative to the conv encoder. A stack of maps
+    is cut into windows at once, and each window position attends over all
+    the samples' windows there as one stack."""
 
     def __init__(self, rng, channels, heads, window):
         self.attn = MultiHeadAttention(rng, channels, heads)
         self.window = window
 
     def __call__(self, x):
-        h, w, c = x.shape
+        *lead, h, w, c = x.shape
         win = self.window
         if h % win or w % win:
             raise ValueError(f"feature map {h}x{w} not divisible by window {win}")
         nh, nw, n = h // win, w // win, win * win
-        # window-major token rows: window i holds rows i*n to (i+1)*n
-        y = T.reshape(x, (nh, win, nw, win, c))
-        y = T.reshape(T.transpose(y, (0, 2, 1, 3, 4)), (h * w, c))
+        samples = math.prod(lead)
+        # window-major: y[i] holds window i of every sample, samples x n tokens
+        y = T.reshape(x, (samples, nh, win, nw, win, c))
+        y = T.reshape(T.transpose(y, (1, 3, 0, 2, 4, 5)), (nh * nw, samples, n, c))
         # the residual is added per window: one add over every row would sum
         # the input gradient in another order
         outs = []
         for i in range(nh * nw):
-            tokens = T.slice_axis(y, 0, i * n, (i + 1) * n)
+            tokens = T.slice_axis(y, 0, i, i + 1)
             outs.append(T.add(tokens, self.attn(tokens)))
-        y = T.reshape(T.concat(outs, axis=0), (nh, nw, win, win, c))
-        return T.reshape(T.transpose(y, (0, 2, 1, 3, 4)), (h, w, c))
+        y = T.reshape(T.concat(outs, axis=0), (nh, nw, samples, win, win, c))
+        return T.reshape(T.transpose(y, (2, 0, 3, 1, 4, 5)), x.shape)
 
 
 class Downsampler(Layer):
@@ -94,14 +99,15 @@ class Downsampler(Layer):
         y = x if self.pool == 1 else T.avgpool2d(x, self.pool)
         for conv in self.conv:
             y = T.avgpool2d(conv(y), 2)
-        if y.shape[0] != g or y.shape[1] != g:
+        if y.shape[-3] != g or y.shape[-2] != g:
             y = T.bilinear_resize(y, g, g)
         return y
 
 
 class TokenMLP(Layer):
     """MLP on global tokens: channel-only (Linear-GELU-Linear, hidden = C) or
-    the token-mixing variant (channel linear, transpose, token linear)."""
+    the token-mixing variant (channel linear, transpose, token linear), on
+    n x C tokens or on each sample's of a stack."""
 
     def __init__(self, rng, channels, kind, n_tokens):
         self.kind = kind
@@ -112,12 +118,14 @@ class TokenMLP(Layer):
     def __call__(self, g):
         if self.kind == "normal":
             return self.lin2(T.gelu(self.lin1(g)))
-        if g.shape[0] != self.lin2.cin:
+        if g.shape[-2] != self.lin2.cin:
             raise ValueError(
-                f"mix MLP is bound to {self.lin2.cin} tokens, got {g.shape[0]}")
-        y = T.transpose(self.lin1(g))      # C x n
-        y = self.lin2(y)                   # token-axis linear
-        return T.transpose(y)
+                f"mix MLP is bound to {self.lin2.cin} tokens, got {g.shape[-2]}")
+        # each sample's last two axes swapped
+        swap = tuple(range(g.data.ndim - 2)) + (g.data.ndim - 1, g.data.ndim - 2)
+        y = T.transpose(self.lin1(g), swap)   # C x n
+        y = self.lin2(y)                      # token-axis linear
+        return T.transpose(y, swap)
 
 
 class FFN(Layer):
@@ -144,7 +152,7 @@ class BiDimAttention(Layer):
 
     def __call__(self, x):
         s = T.sigmoid(self.spatial(x))                           # N x 1
-        pooled = T.mean(x, axis=0)                               # 1 x C
+        pooled = T.mean(x, axis=-2)                              # 1 x C
         c = T.sigmoid(self.channel(pooled))                      # 1 x C
         return T.add(x, T.mul(T.mul(x, s), c))
 
@@ -197,14 +205,14 @@ class DualTokenBlock(Layer):
     def fuse_global_tokens(self, g_tokens, x_ga):
         cfg = self.cfg
         if cfg.global_mode == "position_aware_sum":
-            if g_tokens.shape[0] != x_ga.shape[0]:
+            if g_tokens.shape[-2] != x_ga.shape[-2]:
                 raise ValueError(
-                    f"token counts disagree: G has {g_tokens.shape[0]}, "
-                    f"aggregated map has {x_ga.shape[0]}")
+                    f"token counts disagree: G has {g_tokens.shape[-2]}, "
+                    f"aggregated map has {x_ga.shape[-2]}")
             mlp_path = self.fuse_mlp(self.fuse_norm(g_tokens))
             return T.add(T.scale(mlp_path, cfg.alpha),
                          T.scale(x_ga, 1.0 - cfg.alpha))
-        kv = T.concat([g_tokens, x_ga], axis=0)
+        kv = T.concat([g_tokens, x_ga], axis=-2)
         return self.fuse_attn(g_tokens, kv)
 
     def global_broadcast(self, image_tokens, g_new):
@@ -213,20 +221,22 @@ class DualTokenBlock(Layer):
     # full pipeline ---------------------------------------------------------
 
     def __call__(self, x, g):
-        """x: h x w x C map, g: n_g x C global tokens. Returns the updated map,
-        the updated global tokens, and the head-averaged broadcast attention
-        (h*w x n_g, post-softmax)."""
-        h, w, c = x.shape
+        """x: h x w x C map, g: n_g x C global tokens, or a stack of each
+        (N x h x w x C and N x n_g x C). Returns the updated map, the updated
+        global tokens, and the head-averaged broadcast attention (h*w x n_g,
+        post-softmax; N x h*w x n_g for a stack)."""
+        *lead, h, w, c = x.shape
+        lead = tuple(lead)
         x_local = self.local_branch(x)
         grid = self.cfg.token_grid
-        x_ds_tokens = T.reshape(self.downsample(x_local), (grid * grid, c))
+        x_ds_tokens = T.reshape(self.downsample(x_local), lead + (grid * grid, c))
         g_new = self.fuse_global_tokens(g, self.global_aggregate(x_ds_tokens))
-        x_local_tokens = T.reshape(x_local, (h * w, c))
+        x_local_tokens = T.reshape(x_local, lead + (h * w, c))
         x_global, attn = self.global_broadcast(x_local_tokens, g_new)
         y = self.ffn(T.add(x_local_tokens, x_global))
         if self.bidim is not None:
             y = self.bidim(y)
-        return T.reshape(y, (h, w, c)), T.add(g, g_new), attn
+        return T.reshape(y, x.shape), T.add(g, g_new), attn
 
     # the checkpoint names the local branch by its kind and nests the fusion
     # layers under "fuse", so this walk is not the Layer one

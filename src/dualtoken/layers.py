@@ -62,7 +62,7 @@ class Layer:
 
 
 class Linear(Layer):
-    """x @ W + b with W of shape Cin x Cout."""
+    """x @ W + b with W of shape Cin x Cout, over the last axis of x."""
 
     def __init__(self, rng, cin, cout, bias=True):
         self.weight = init_params(rng, (cin, cout), "trunc_normal")
@@ -77,13 +77,7 @@ class Linear(Layer):
         return self.weight.shape[1]
 
     def __call__(self, x):
-        cin = self.weight.data.shape[0]
-        if x.data.shape[-1] != cin:
-            raise ValueError(f"linear expects {cin} input channels, got {x.shape}")
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = T.add(y, self.bias)
-        return y
+        return T.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Layer):
@@ -111,7 +105,8 @@ class LayerNorm(Layer):
 
 
 class MultiHeadAttention(Layer):
-    """Scaled dot-product attention with separate Q/K/V/out projections."""
+    """Scaled dot-product attention with separate Q/K/V/out projections, on
+    T x C tokens or on a stack of them (see `tensor.attention`)."""
 
     def __init__(self, rng, channels, heads):
         if channels % heads != 0:

@@ -206,14 +206,15 @@ class MergePatch(Layer):
         self.proj = Linear(rng, 4 * cin, cout)
 
     def __call__(self, x):
-        h, w, c = x.shape
+        *lead, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"merge_patch needs even extents, got {h}x{w}")
-        y = T.reshape(x, (h // 2, 2, w // 2, 2, c))
-        y = T.transpose(y, (0, 2, 1, 3, 4))
-        y = T.reshape(y, (h // 2 * (w // 2), 4 * c))
+        lead, axes = tuple(lead), tuple(range(len(lead)))
+        y = T.reshape(x, lead + (h // 2, 2, w // 2, 2, c))
+        y = T.transpose(y, axes + tuple(len(axes) + a for a in (0, 2, 1, 3, 4)))
+        y = T.reshape(y, lead + (h // 2 * (w // 2), 4 * c))
         y = self.proj(self.norm(y))
-        return T.reshape(y, (h // 2, w // 2, self.proj.cout))
+        return T.reshape(y, lead + (h // 2, w // 2, self.proj.cout))
 
 
 class StageTransition(Layer):
@@ -250,21 +251,28 @@ class Model(Layer):
         self.head_lin2 = Linear(rng, cfg.head_hidden, cfg.num_classes)
 
     def forward(self, images, want_activations=True):
-        """Classify one S x S x 3 image, S the config's `input_resolution`:
-        `stem`, then every step of `trunk()` in order, then `head`.
+        """Classify one S x S x 3 image, or each of N x S x S x 3 images, S
+        the config's `input_resolution`: `stem`, then every step of `trunk()`
+        in order, then `head`. A batch is one pass: every layer takes the
+        images together, with the initial global tokens tiled to one copy
+        per image.
 
-        Returns (logits, attention): the `num_classes` logits, and a dict in
-        block order from each block's path ("stage1.block0", ...) to its
-        head-averaged broadcast attention, an N x n_g array over the block's
-        N image tokens and n_g global tokens. The dict is empty when
+        Returns (logits, attention): the `num_classes` logits (N x
+        `num_classes` for a batch), and a dict in block order from each
+        block's path ("stage1.block0", ...) to its head-averaged broadcast
+        attention, a T x n_g array over the block's T image tokens and n_g
+        global tokens (N x T x n_g for a batch). The dict is empty when
         `want_activations` is False.
         """
         if not isinstance(images, T.Tensor):
             raise ValueError(f"expected the image as a Tensor, got {type(images).__name__}")
         s = self.cfg.input_resolution
-        if images.shape != (s, s, 3):
-            raise ValueError(f"expected a {s} x {s} x 3 image, got {images.shape}")
+        if images.shape[-3:] != (s, s, 3) or images.data.ndim not in (3, 4) or not images.size:
+            raise ValueError(f"expected a {s} x {s} x 3 image or N x {s} x {s} x 3 images, "
+                             f"got {images.shape}")
         x, g = self.stem(images), self.g_init
+        if images.data.ndim == 4:
+            g = T.concat([T.reshape(g, (1,) + g.shape)] * images.shape[0], axis=0)
         attention = {}
         for path, step in self.trunk():
             x, g, attn = step(x, g)
@@ -289,15 +297,17 @@ class Model(Layer):
         return steps
 
     def head(self, x):
-        """The logits of the last stage's h x w x C map: LN, mean over the
-        tokens, linear, GELU, linear. It reads no state but `x`, so a probe of
-        a head parameter reruns the head alone. `head_norm` and `head_lin2`
-        are looked up at each call: a tracer may stand in for them."""
-        h, w, c = x.shape
-        tokens = T.reshape(x, (h * w, c))
-        pooled = T.mean(self.head_norm(tokens), axis=0)
+        """The logits of the last stage's h x w x C map, or of each map of a
+        stack: LN, mean over the tokens, linear, GELU, linear. It reads no
+        state but `x`, so a probe of a head parameter reruns the head alone.
+        `head_norm` and `head_lin2` are looked up at each call: a tracer may
+        stand in for them."""
+        *lead, h, w, c = x.shape
+        lead = tuple(lead)
+        tokens = T.reshape(x, lead + (h * w, c))
+        pooled = T.mean(self.head_norm(tokens), axis=-2)
         y = T.gelu(self.head_lin1(pooled))
-        return T.reshape(self.head_lin2(y), (self.cfg.num_classes,))
+        return T.reshape(self.head_lin2(y), lead + (self.cfg.num_classes,))
 
     # the checkpoint puts every transition's token projection before the
     # stages, and names the head layers under "head"

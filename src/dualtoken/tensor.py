@@ -14,9 +14,16 @@ activation that no backward reads dies with its tensor.
 the arrays its closure saved, is released as soon as it has run. The tape
 also notes the record of each leaf's first use, so that `backward` can tell
 a caller the moment a leaf's gradient is complete (`on_leaf_done`).
-One op, `attention`, stands for a chain of others: it runs multi-head
-attention through `matmul` and `softmax` on untaped tensors and records a
-single closure that replays the chain's backward, bit for bit.
+Two ops stand for a chain of others: `linear` (a product, then a bias
+add) and `attention` (multi-head attention). Each runs its chain through
+`matmul` (and `softmax`) on untaped tensors and records a single closure
+that replays the chain's backward, bit for bit.
+
+Ops take a leading batch axis where the model has one: any axes before a
+token matrix's last two, or before a map's H x W x C, stack samples. A
+product takes the samples' rows as the rows of one 2-d `matmul`, a
+convolution calls its kernels once per map, and attention runs once per
+sample and head; what reduces over tokens or pixels does so per sample.
 
 A module-level MAC counter (see `count_macs`) instruments matmul and conv2d
 so analytic cost models can be checked against an executed forward pass.
@@ -535,12 +542,54 @@ def matmul(a, b):
     return out
 
 
+def linear(x, w, b=None):
+    """x @ w + b over the last axis of x, with w of shape Cin x Cout and an
+    optional bias b of Cout. Every row of x, whatever its leading axes, is a
+    row of one 2-d `matmul` (on untaped tensors, so it is counted as one
+    product); the bias is added in place. The op records one closure, which
+    replays the chain matmul-then-add backwards: the bias's gradient first,
+    then the input's and the weight's."""
+    xd, wd = x.data, w.data
+    cin, cout = wd.shape
+    if xd.shape[-1] != cin:
+        raise ValueError(f"linear expects {cin} input channels, got {xd.shape}")
+    rows = xd.reshape(-1, cin)
+    y = matmul(_result(rows), _result(wd)).data
+    if b is not None:
+        y += b.data
+    out = _result(y.reshape(xd.shape[:-1] + (cout,)))
+    if _trace(x, w) or (b is not None and _trace(b)):
+        def bwd(g, x=_slot(x), w=_slot(w), b=None if b is None else _slot(b),
+                rows=rows, wd=wd):
+            g = g.reshape(-1, g.shape[-1])
+            if b is not None and b.requires_grad:
+                _accum(b, g, False)
+            if x.requires_grad:
+                _accum(x, np.dot(g, wd.T).reshape(x.shape), True)
+            if w.requires_grad:
+                _accum(w, np.dot(rows.T, g), True)
+        _emit(out, bwd)
+    return out
+
+
+def _stack(arrays):
+    """Arrays of one shape stacked on a new first axis; one array is not
+    copied."""
+    first = arrays[0]
+    if len(arrays) == 1:
+        return first[None]
+    return np.concatenate(arrays).reshape((len(arrays),) + first.shape)
+
+
 def conv2d(x, w, bias, stride=1, padding=0, groups=1):
-    """Cross-correlation on an H x W x Cin map with kh x kw x Cin/g x Cout
-    weights plus a bias; a depthwise one (groups=cin=cout) is stride 1."""
+    """Cross-correlation of an H x W x Cin map, or of each map of a stack
+    (... x H x W x Cin), with kh x kw x Cin/g x Cout weights plus a bias; a
+    depthwise one (groups=cin=cout) is stride 1. The kernels run once per
+    map."""
     xd, wd = x.data, w.data
     kh, kw, cig, cout = wd.shape
-    h, wdt, cin = xd.shape
+    h, wdt, cin = xd.shape[-3:]
+    lead = xd.shape[:-3]
     if padding == "same":
         if stride != 1:
             raise ValueError("'same' padding requires stride 1")
@@ -558,47 +607,57 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
             f"weight per-group cin={cig} does not match cin={cin} groups={groups}")
     if groups != 1 and stride != 1:
         raise ValueError(f"a depthwise conv2d is stride 1, got stride={stride}")
+    maps = xd.reshape(-1, h, wdt, cin)
+    n = maps.shape[0]
     if ph or pw:
         # a zero buffer and one slice assignment: np.pad costs ~10x more
-        xp = np.zeros((h + 2 * ph, wdt + 2 * pw, cin), dtype=xd.dtype)
-        xp[ph:ph + h, pw:pw + wdt] = xd
+        xp = np.zeros((n, h + 2 * ph, wdt + 2 * pw, cin), dtype=xd.dtype)
+        xp[:, ph:ph + h, pw:pw + wdt] = maps
     else:
-        xp = xd
+        xp = maps
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (wdt + 2 * pw - kw) // stride + 1
-    _count(ho * wo * kh * kw * cig * cout)
-    y = kernels.conv_forward(xp, wd, stride, groups)
+    _count(n * ho * wo * kh * kw * cig * cout)
+    y = _stack([kernels.conv_forward(m, wd, stride, groups) for m in xp])
     y += bias.data
-    out = _result(y)
+    out = _result(y.reshape(lead + y.shape[1:]))
     if _trace(x, w, bias):
         def bwd(g, x=_slot(x), w=_slot(w), bias=_slot(bias), xp=xp, wd=wd,
                 ph=ph, pw=pw, stride=stride, groups=groups):
             g = np.ascontiguousarray(g)
             # no input gradient for an input that takes none, such as an image
-            dxp, dw = kernels.conv_backward(xp, wd, g, x.requires_grad, stride, groups)
+            dxps, dw = [], None
+            for m, gm in zip(xp, g.reshape((-1,) + g.shape[-3:])):
+                dxp, dwm = kernels.conv_backward(m, wd, gm, x.requires_grad, stride, groups)
+                dxps.append(dxp)
+                if dw is None:
+                    dw = dwm
+                else:
+                    dw += dwm
             if x.requires_grad:
-                h, wdt = x.shape[:2]
+                h, wdt = x.shape[-3:-1]
                 # a padded map's interior is a strided slice, and is copied
-                _accum(x, dxp[ph:ph + h, pw:pw + wdt, :], True)
+                _accum(x, _stack(dxps)[:, ph:ph + h, pw:pw + wdt].reshape(x.shape), True)
             if w.requires_grad:
                 _accum(w, dw, True)
             if bias.requires_grad:
-                _accum(bias, np.add.reduce(g, axis=(0, 1)), True)
+                _accum(bias, np.add.reduce(g, axis=tuple(range(g.ndim - 1))), True)
         _emit(out, bwd)
     return out
 
 
 def avgpool2d(x, k=2):
-    h, w, c = x.shape
+    """k x k average pooling of an H x W x C map, or of each map of a stack."""
+    *lead, h, w, c = x.shape
     if h % k or w % k:
         raise ValueError(f"avgpool2d: spatial extents {h}x{w} not divisible by {k}")
     # the sum, then one division, as in `mean`
-    y = np.add.reduce(x.data.reshape(h // k, k, w // k, k, c), axis=(1, 3))
+    y = np.add.reduce(x.data.reshape(tuple(lead) + (h // k, k, w // k, k, c)), axis=(-4, -2))
     y /= k * k
     out = _result(y)
     if _trace(x):
         def bwd(g, x=_slot(x), k=k):
-            gx = np.repeat(np.repeat(g, k, axis=0), k, axis=1) / (k * k)
+            gx = np.repeat(np.repeat(g, k, axis=-3), k, axis=-2) / (k * k)
             _accum(x, gx, True)
         _emit(out, bwd)
     return out
@@ -679,70 +738,95 @@ def _softmax_grad(g, s):
 
 def attention(q, k, v, heads):
     """Multi-head scaled dot-product attention of Tq x C queries over Tk x C
-    keys and values. Head h takes the h-th block of d = C / heads columns of
-    each: softmax(q_h k_h^T / sqrt(d)) v_h. Returns the Tq x C output (the
-    heads' outputs side by side) and the list of the heads' Tq x Tk maps.
+    keys and values, for one sample or for each of a stack (... x Tq x C
+    over ... x Tk x C). Head h takes the h-th block of d = C / heads columns
+    of each: softmax(q_h k_h^T / sqrt(d)) v_h. Returns the output, shaped
+    like q (the heads' outputs side by side), and the list of the heads'
+    ... x Tq x Tk maps.
 
-    The forward is the chain scale, transpose, per head the three inputs'
-    slices, `matmul`, `softmax` and `matmul`, then a concat, run on untaped
-    tensors: every product still goes through `matmul` and is counted, and
-    each softmax checks its input. The op records one closure, which runs
-    the chain's backward on the same arrays in the same order, so its
-    gradients are the chain's bits: the heads from last to first, each
-    adding into zeroed q, k and v buffers (dK goes into k's layout, with no
-    transposed copy), and the 1/sqrt(d) scale last. Each head's saved
-    arrays are dropped once used."""
+    For one sample, the forward is the chain scale, transpose, per head the
+    three inputs' slices, `matmul`, `softmax` and `matmul`, then a concat,
+    run on untaped tensors: every product still goes through `matmul` and is
+    counted, and each softmax checks its input. A stack takes the products
+    sample by sample and each head's softmax over all samples at once; each
+    input's blocks, for every sample and head, are gathered by one copy. The
+    op records one closure, which computes the chain's backward products on
+    the same arrays, one block per sample and head, and adds the blocks into
+    zeroed q, k and v gradients in their layout: the chain's adding into
+    zeroed buffers, so its gradients are the chain's bits. The 1/sqrt(d)
+    scale comes last."""
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 2 or kd.ndim != 2 or kd.shape != vd.shape or qd.shape[1] != kd.shape[1]:
+    if (qd.ndim < 2 or kd.shape != vd.shape or qd.shape[:-2] != kd.shape[:-2]
+            or qd.shape[-1] != kd.shape[-1]):
         raise ValueError(f"attention expects Tq x C queries and Tk x C keys and values, "
                          f"got {qd.shape}, {kd.shape} and {vd.shape}")
-    c = qd.shape[1]
+    tq, c = qd.shape[-2:]
+    tk = kd.shape[-2]
     if heads < 1 or c % heads:
         raise ValueError(f"attention: {c} channels do not split into {heads} heads")
     d = c // heads
     s = 1.0 / math.sqrt(d)
-    qs = qd * s
-    kt = np.ascontiguousarray(kd.T)
-    outs, maps, saved = [], [], []
+    # sample i's head h: queries qs[i, h] (Tq x d), keys kt[i, h] (d x Tk,
+    # transposed) and values vs[i, h] (Tk x d), each a C-contiguous block
+    qs = qd.reshape(-1, tq, heads, d) * s
+    n = qs.shape[0]
+    qs = np.ascontiguousarray(qs.transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(kd.reshape(n, tk, heads, d).transpose(0, 2, 3, 1))
+    vs = np.ascontiguousarray(vd.reshape(n, tk, heads, d).transpose(0, 2, 1, 3))
+    out = np.empty(qd.shape, qd.dtype)
+    heads_out = out.reshape(n, tq, heads, d)
+    maps = []
     for h in range(heads):
-        cols = slice(h * d, (h + 1) * d)
-        qh = np.ascontiguousarray(qs[:, cols])
-        kth = kt[cols]
-        vh = np.ascontiguousarray(vd[:, cols])
-        a = softmax(matmul(_result(qh), _result(kth))).data
-        outs.append(matmul(_result(a), _result(vh)).data)
+        logits = _stack([matmul(_result(qs[i, h]), _result(kt[i, h])).data for i in range(n)])
+        # the softmax, like the map, is shaped like the queries' tokens
+        a = softmax(_result(logits.reshape(qd.shape[:-1] + (tk,)))).data
         maps.append(a)
-        saved.append((qh, kth, vh, a))
-    out = _result(np.concatenate(outs, axis=1))
+        a = a.reshape(n, tq, tk)
+        for i in range(n):
+            heads_out[i, :, h] = matmul(_result(a[i]), _result(vs[i, h])).data
+    out = _result(out)
     if _trace(q, k, v):
-        def bwd(g, q=_slot(q), k=_slot(k), v=_slot(v), saved=saved, d=d, s=s):
-            dq = np.zeros(q.shape, q.dtype) if q.requires_grad else None
-            dk = np.zeros(k.shape, k.dtype) if k.requires_grad else None
-            dv = np.zeros(v.shape, v.dtype) if v.requires_grad else None
-            for h in reversed(range(len(saved))):
-                qh, kth, vh, a = saved.pop()
-                cols = (slice(None), slice(h * d, (h + 1) * d))
-                gh = np.ascontiguousarray(g[cols])
+        def bwd(g, q=_slot(q), k=_slot(k), v=_slot(v), qs=qs, kt=kt, vs=vs,
+                maps=[a.reshape(n, tq, tk) for a in maps], s=s):
+            g = np.ascontiguousarray(g.reshape(n, tq, heads, d).transpose(0, 2, 1, 3))
+            dv = np.empty(vs.shape, vs.dtype) if v.requires_grad else None
+            dq = np.empty(qs.shape, qs.dtype) if q.requires_grad else None
+            dk = np.empty(kt.shape, kt.dtype) if k.requires_grad else None
+            for h, a in enumerate(maps):
                 if dq is not None or dk is not None:
-                    da = _softmax_grad(np.dot(gh, vh.T), a)
-                if dv is not None:
-                    view = dv[cols]
-                    np.add(view, np.dot(a.T, gh), out=view)
-                if dq is not None:
-                    view = dq[cols]
-                    np.add(view, np.dot(da, kth.T), out=view)
-                if dk is not None:
-                    view = dk[cols]
-                    np.add(view, np.dot(qh.T, da).T, out=view)
+                    da = np.empty(a.shape, a.dtype)
+                    for i in range(n):
+                        np.dot(g[i, h], vs[i, h].T, out=da[i])
+                    _softmax_grad(da, a)
+                for i in range(n):
+                    if dv is not None:
+                        np.dot(a[i].T, g[i, h], out=dv[i, h])
+                    if dq is not None:
+                        np.dot(da[i], kt[i, h].T, out=dq[i, h])
+                    if dk is not None:
+                        np.dot(qs[i, h].T, da[i], out=dk[i, h])
+            maps.clear()
             if dv is not None:
-                _accum(v, dv, True)
+                _accum(v, _heads_into_zeros(v.shape, dv, (0, 2, 1, 3)), True)
             if dk is not None:
-                _accum(k, dk, True)
+                _accum(k, _heads_into_zeros(k.shape, dk, (0, 2, 3, 1)), True)
             if dq is not None:
+                dq = _heads_into_zeros(q.shape, dq, (0, 2, 1, 3))
                 dq *= s
                 _accum(q, dq, True)
         _emit(out, bwd)
     return out, maps
+
+
+def _heads_into_zeros(shape, blocks, axes):
+    """A gradient of `shape` (... x T x C) from its blocks, one per sample
+    and head, each added into zeros: `axes` permutes the samples x T x
+    heads x d view of the gradient to the blocks' layout."""
+    grad = np.zeros(shape, blocks.dtype)
+    n, heads = blocks.shape[:2]
+    view = grad.reshape(n, -1, heads, shape[-1] // heads).transpose(axes)
+    view += blocks
+    return grad
 
 
 @functools.lru_cache(maxsize=None)
@@ -761,29 +845,33 @@ def _interp_indices(n_in, n_out, dtype):
 
 
 def bilinear_resize(x, out_h, out_w):
-    """Separable bilinear resampling; constant fields are preserved exactly
-    (lerp form x0 + f*(x1-x0))."""
+    """Separable bilinear resampling of an H x W x C map, or of each map of a
+    stack; constant fields are preserved exactly (lerp form x0 + f*(x1-x0))."""
     if out_h < 1 or out_w < 1:
         raise ValueError("bilinear_resize output extents must be positive")
-    h, w, c = x.shape
+    *lead, h, w, c = x.shape
     r0, r1, rf = _interp_indices(h, out_h, x.dtype)
     c0, c1, cf = _interp_indices(w, out_w, x.dtype)
     rfc = rf[:, None, None]
     cfc = cf[None, :, None]
     xd = x.data
-    tmp = xd[r0] + rfc * (xd[r1] - xd[r0])
+    # the index of the rows (then of the columns) behind any stacking axes
+    rows = (slice(None),) * len(lead)
+    cols = rows + (slice(None),)
+    tmp = xd[rows + (r0,)] + rfc * (xd[rows + (r1,)] - xd[rows + (r0,)])
     # np.take gives C order, where the fancy index tmp[:, c0] would not
-    t0 = np.take(tmp, c0, axis=1)
-    y = t0 + cfc * (np.take(tmp, c1, axis=1) - t0)
+    t0 = np.take(tmp, c0, axis=-2)
+    y = t0 + cfc * (np.take(tmp, c1, axis=-2) - t0)
     out = _result(y)
     if _trace(x):
-        def bwd(g, x=_slot(x), r0=r0, r1=r1, rfc=rfc, c0=c0, c1=c1, cfc=cfc, h=h, w=w):
-            dtmp = np.zeros((len(r0), w, g.shape[2]), dtype=g.dtype)
-            np.add.at(dtmp, (slice(None), c0), g * (1.0 - cfc))
-            np.add.at(dtmp, (slice(None), c1), g * cfc)
-            dx = np.zeros((h, w, g.shape[2]), dtype=g.dtype)
-            np.add.at(dx, r0, dtmp * (1.0 - rfc))
-            np.add.at(dx, r1, dtmp * rfc)
+        def bwd(g, x=_slot(x), r0=r0, r1=r1, rfc=rfc, c0=c0, c1=c1, cfc=cfc,
+                rows=rows, cols=cols):
+            dtmp = np.zeros(g.shape[:-2] + x.shape[-2:], dtype=g.dtype)
+            np.add.at(dtmp, cols + (c0,), g * (1.0 - cfc))
+            np.add.at(dtmp, cols + (c1,), g * cfc)
+            dx = np.zeros(x.shape, dtype=g.dtype)
+            np.add.at(dx, rows + (r0,), dtmp * (1.0 - rfc))
+            np.add.at(dx, rows + (r1,), dtmp * rfc)
             _accum(x, dx, True)
         _emit(out, bwd)
     return out

@@ -1,5 +1,5 @@
 """Toy supervised training: cross-entropy, AdamW, a deterministic
-single-sample accumulation loop, and evaluation.
+micro-batch step, and evaluation.
 
 The optimizer step reads each parameter's accumulated gradient as it is and
 updates the parameter and its AdamW moments in place, in blocks of 32,768
@@ -13,11 +13,12 @@ gathered into block scratch, is updated there against its moments, and has
 its parameters scattered back. The flat buffers stay with the state from step
 to step; a moment pair that a caller puts into `moments` is copied in.
 
-`train_step` updates the tensors of one block or more during the step's last
-backward: each is updated, and its gradient dropped, as soon as the backward
-has finished that gradient, so finished gradients do not wait for the end of
-the step. The small tensors are updated together once the backward is done.
-Either way each tensor gets the same update, bit for bit."""
+`train_step` runs its micro-batch as one batched forward and one backward,
+and updates the tensors of one block or more during that backward: each is
+updated, and its gradient dropped, as soon as the backward has finished that
+gradient, so finished gradients do not wait for the end of the step. The
+small tensors are updated together once the backward is done. Either way
+each tensor gets the same update, bit for bit."""
 
 from __future__ import annotations
 
@@ -39,26 +40,33 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
-def cross_entropy(logits, label):
-    """-log softmax(logits)[label] as a differentiable scalar; `label` is an
-    int or a numpy integer, not a bool."""
-    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
-        raise ValueError(f"label must be an integer, got {label!r}")
-    label, k = int(label), logits.shape[-1]
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range [0, {k})")
+def cross_entropy(logits, labels):
+    """-log softmax(z)[label], differentiable: K logits and one label give
+    a scalar, N x K logits and N labels the N per-sample losses. A label is
+    an int or a numpy integer, not a bool."""
     z = logits.data
+    k = z.shape[-1]
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"label must be an integer, got {labels!r}")
+    if labels.shape != z.shape[:-1]:
+        raise ValueError(f"{z.shape} logits need labels of shape {z.shape[:-1]}, "
+                         f"got {labels.shape}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"label {labels} out of range [0, {k})")
     if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise FloatingPointError("cross_entropy received non-finite logits")
-    m = np.maximum.reduce(z, axis=None)
-    lse = m + np.log(np.add.reduce(np.exp(z - m), axis=None))
-    out = Tensor(np.asarray(lse - z[label], dtype=z.dtype))
+    picked = labels[..., None]
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    lse = m + np.log(np.add.reduce(np.exp(z - m), axis=-1, keepdims=True))
+    out = Tensor((lse - np.take_along_axis(z, picked, axis=-1))[..., 0])
     if T._trace(logits):
         probs = np.exp(z - lse)
-        def bwd(g, logits=T._slot(logits), probs=probs, label=label):
+        def bwd(g, logits=T._slot(logits), probs=probs, picked=picked):
             gz = probs.copy()
-            gz[label] -= 1.0
-            T._accum(logits, g * gz, True)
+            np.put_along_axis(gz, picked, np.take_along_axis(gz, picked, axis=-1) - 1.0,
+                              axis=-1)
+            T._accum(logits, g.reshape(probs.shape[:-1] + (1,)) * gz, True)
         T._emit(out, bwd)
     return out
 
@@ -156,7 +164,7 @@ def _update_large(state, name, p, scalars, s1, s2):
 
 
 def _large_updater(state, params, micro_batch):
-    """The `on_leaf_done` hook of a step's last backward: it updates each
+    """The `on_leaf_done` hook of a step's backward: it updates each
     parameter of one block or more whose gradient is complete, and drops
     that gradient. Other leaves are left as they are."""
     scalars = _scalars(state, micro_batch)
@@ -231,36 +239,31 @@ def _flat(a):
 
 
 def train_step(state, dataset, micro_batch=8):
-    """One optimizer step: gradient accumulation over `micro_batch`
-    consecutive samples (deterministic round-robin order). A non-finite
-    value in the forward pass or the loss raises `TrainingDiverged`, before
-    any parameter or moment changes.
+    """One optimizer step on `micro_batch` consecutive samples
+    (deterministic round-robin order), run as one batched forward: the loss
+    is the sum of the samples' cross-entropies, and the 1/micro_batch is
+    folded into AdamW's scalars. A non-finite value in the forward pass or
+    the loss raises `TrainingDiverged`, before any parameter or moment
+    changes.
 
-    The mean loss is checked before the last sample's backward, which
-    updates each tensor of one block or more as soon as its gradient is
-    complete (`_large_updater`); the other tensors are updated after it.
-    No parameter holds a .grad afterwards."""
+    The mean loss is checked before the step's one backward, which updates
+    each tensor of one block or more as soon as its gradient is complete
+    (`_large_updater`); the other tensors are updated after it. No
+    parameter holds a .grad afterwards."""
     check_positive_int("micro_batch", micro_batch)
     model = state.model
     params = list(model.named_params())
     for _, p in params:
         p.zero_grad()
-    n = len(dataset)
-    total = 0.0
-    for j in range(micro_batch):
-        idx = (state.step * micro_batch + j) % n
-        image = Tensor(dataset.images[idx])
-        tape = GradTape()
-        try:
-            with tape:
-                logits, _ = model.forward(image, want_activations=False)
-                loss = cross_entropy(logits, dataset.labels[idx])
-        except FloatingPointError as exc:
-            raise TrainingDiverged(state.step) from exc
-        total += loss.item()
-        if j < micro_batch - 1:
-            T.backward(tape, loss)
-    mean_loss = total / micro_batch
+    idx = (state.step * micro_batch + np.arange(micro_batch)) % len(dataset)
+    tape = GradTape()
+    try:
+        with tape:
+            logits, _ = model.forward(Tensor(dataset.images[idx]), want_activations=False)
+            loss = T.sum(cross_entropy(logits, dataset.labels[idx]))
+    except FloatingPointError as exc:
+        raise TrainingDiverged(state.step) from exc
+    mean_loss = loss.item() / micro_batch
     if not np.isfinite(mean_loss):
         raise TrainingDiverged(state.step)
     T.backward(tape, loss, _large_updater(state, params, micro_batch))
@@ -286,14 +289,22 @@ def train_toy(cfg, dataset, steps=200, lr=1e-3, seed=42, state=None, log=None):
     return state
 
 
+# image elements per batched forward of `evaluate`: 4 MB of float32 input,
+# 341 images at 32^2 and 6 at 224^2
+_EVAL_ELEMENTS = 1 << 20
+
+
 def evaluate(model, dataset):
-    """Argmax accuracy; ties resolve to the lowest class index."""
+    """Argmax accuracy; ties resolve to the lowest class index. The images
+    go through the model in batches of `_EVAL_ELEMENTS` input elements."""
+    n = len(dataset)
+    batch = max(1, _EVAL_ELEMENTS // dataset.images[0].size)
     hits = 0
-    for i in range(len(dataset)):
-        logits, _ = model.forward(Tensor(dataset.images[i]), want_activations=False)
-        if int(np.argmax(logits.data)) == int(dataset.labels[i]):
-            hits += 1
-    return hits / len(dataset)
+    for i in range(0, n, batch):
+        logits, _ = model.forward(Tensor(dataset.images[i:i + batch]), want_activations=False)
+        hits += int(np.count_nonzero(np.argmax(logits.data, axis=-1)
+                                     == dataset.labels[i:i + batch]))
+    return hits / n
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,16 @@ def test_every_count_flops_path_equals_its_executed_macs(cfg):
     assert _executed_macs_per_path(build_model(cfg, seed=0)) == want
 
 
+@pytest.mark.parametrize("cfg", [preset("toy")] + criterion_7_variants(), ids=lambda cfg: cfg.name)
+def test_a_batch_of_three_counts_three_times_the_analytic_macs(cfg):
+    side = cfg.input_resolution
+    images = np.random.default_rng(0).standard_normal((3, side, side, 3)).astype(np.float32)
+    with count_macs() as counter:
+        logits, _ = build_model(cfg, seed=0).forward(Tensor(images), want_activations=False)
+    assert logits.shape == (3, cfg.num_classes)
+    assert counter.total == 3 * count_flops(cfg).total_macs
+
+
 def test_analytic_macs_track_resolution():
     at32 = preset("toy")
     at64 = replace(at32, input_resolution=64)

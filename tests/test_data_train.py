@@ -144,6 +144,19 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
     assert np.abs(z.grad - want).max() <= 1e-12
 
 
+def test_cross_entropy_of_a_batch_is_each_rows_loss():
+    rng = np.random.default_rng(61)
+    z = rng.standard_normal((3, 5))
+    labels = np.array([4, 0, 2])
+    losses = cross_entropy(Tensor(z), labels).data
+    per_row = [cross_entropy(Tensor(row), label).item() for row, label in zip(z, labels)]
+    assert losses.shape == (3,) and losses == pytest.approx(per_row, rel=1e-14)
+    with pytest.raises(ValueError, match="labels of shape"):
+        cross_entropy(Tensor(z), labels[:2])
+    with pytest.raises(ValueError, match="out of range"):
+        cross_entropy(Tensor(z), np.array([4, 0, 5]))
+
+
 def test_zero_learning_rate_changes_nothing():
     model = build_model("toy_grad", seed=1)
     # n equals the micro-batch so every step sees the same samples
@@ -444,18 +457,18 @@ def _wide_head_toy(dtype):
 
 
 def _step_updating_at_the_end(state, dataset, micro_batch):
-    """`train_step` with every tensor updated once the last backward is done."""
+    """`train_step` with every tensor updated once the backward is done: the
+    same batched forward and summed loss, then one backward with no hook."""
     params = list(state.model.named_params())
     for _, p in params:
         p.zero_grad()
-    for j in range(micro_batch):
-        idx = (state.step * micro_batch + j) % len(dataset)
-        tape = GradTape()
-        with tape:
-            logits, _ = state.model.forward(Tensor(dataset.images[idx]),
-                                            want_activations=False)
-            loss = cross_entropy(logits, dataset.labels[idx])
-        T.backward(tape, loss)
+    idx = (state.step * micro_batch + np.arange(micro_batch)) % len(dataset)
+    tape = GradTape()
+    with tape:
+        logits, _ = state.model.forward(Tensor(dataset.images[idx]),
+                                        want_activations=False)
+        loss = T.sum(cross_entropy(logits, dataset.labels[idx]))
+    T.backward(tape, loss)
     _apply_update(state, params, micro_batch)
     state.step += 1
 
@@ -485,15 +498,18 @@ def test_a_non_finite_last_loss_changes_no_parameter_or_moment(monkeypatch):
               for name, p in state.model.named_params()}
     calls = []
 
-    def last_loss_inf(logits, label):
-        calls.append(label)
-        loss = cross_entropy(logits, label)
-        return T.scale(loss, math.inf) if len(calls) == micro_batch else loss
+    def last_sample_inf(logits, labels):
+        # the batch's losses, the last sample's made infinite
+        calls.append(len(labels))
+        losses = cross_entropy(logits, labels)
+        factor = np.ones(losses.shape, losses.dtype)
+        factor[-1] = math.inf
+        return T.mul(losses, Tensor(factor))
 
-    monkeypatch.setattr(train_mod, "cross_entropy", last_loss_inf)
+    monkeypatch.setattr(train_mod, "cross_entropy", last_sample_inf)
     with pytest.raises(TrainingDiverged):
         train_step(state, ds, micro_batch=micro_batch)
-    assert len(calls) == micro_batch and state.step == 1
+    assert calls == [micro_batch] and state.step == 1
     for name, p in state.model.named_params():
         m, v = state.moments[name]
         for got, want in zip((p.data, m, v), before[name]):
@@ -567,11 +583,12 @@ _TRAINING_CASES = {
 }
 
 # (parameters, first moments, second moments) of each case, from the
-# optimizer that updated every tensor on its own; a resumed run is bitwise
-# the straight one
-_TOY_DIGESTS = ["d28e30705e559c3d1e8ccd3e7671ef205b4cb98feac9d8156c93f43a87212a71",
-                "29beeb8c984ec8bb5ca7594f4ca905445e00310c90a76de45ed104cfd2a34c6c",
-                "26df082bf7a69698228a9ce2306ab0e01a1e5aa24ae887e6751572e5b0cd09fe"]
+# optimizer that updated every tensor on its own; the toy steps run each
+# micro-batch as one batched forward, and a resumed run is bitwise the
+# straight one
+_TOY_DIGESTS = ["d4654f49ae1316197c61c6d90059886dad962352dddccf53a021303d19beadbb",
+                "83fcffb4aad6344cb6b6e30434e0a4a5fadb5bbd96a22f1a2e1cbfd4b60adee1",
+                "29e492cf7d0e7a4b0f244caf0f025bb362cb1549be7d96df46c03eef3d5139ea"]
 _TRAINING_DIGESTS = {
     "toy": _TOY_DIGESTS,
     "toy_resumed": _TOY_DIGESTS,
