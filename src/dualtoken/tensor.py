@@ -22,8 +22,10 @@ that replays the chain's backward, bit for bit.
 Ops take a leading batch axis where the model has one: any axes before a
 token matrix's last two, or before a map's H x W x C, stack samples. A
 product takes the samples' rows as the rows of one 2-d `matmul`, a
-convolution calls its kernels once per map, and attention runs once per
-sample and head; what reduces over tokens or pixels does so per sample.
+convolution calls its kernels once per map, and attention's forward takes
+its products once per sample and head, with one softmax over them all; its
+backward takes each product once over every sample and head. What reduces
+over tokens or pixels does so per sample.
 
 A module-level MAC counter (see `count_macs`) instruments matmul and conv2d
 so analytic cost models can be checked against an executed forward pass.
@@ -744,17 +746,18 @@ def attention(q, k, v, heads):
     like q (the heads' outputs side by side), and the list of the heads'
     ... x Tq x Tk maps.
 
-    For one sample, the forward is the chain scale, transpose, per head the
-    three inputs' slices, `matmul`, `softmax` and `matmul`, then a concat,
-    run on untaped tensors: every product still goes through `matmul` and is
-    counted, and each softmax checks its input. A stack takes the products
-    sample by sample and each head's softmax over all samples at once; each
-    input's blocks, for every sample and head, are gathered by one copy. The
-    op records one closure, which computes the chain's backward products on
-    the same arrays, one block per sample and head, and adds the blocks into
-    zeroed q, k and v gradients in their layout: the chain's adding into
-    zeroed buffers, so its gradients are the chain's bits. The 1/sqrt(d)
-    scale comes last."""
+    The forward is the chain scale, transpose, per head the three inputs'
+    slices, `matmul`, `softmax` and `matmul`, then a concat, run on untaped
+    tensors. Each input's blocks, for every sample and head, are gathered
+    by one copy; every product still goes through `matmul`, one per sample
+    and head, and is counted. One `softmax` over the heads x samples stack
+    of logits checks them and gives every map, and the maps returned are
+    views of it. The op records one closure, which computes the chain's
+    backward products as one `np.matmul` each over the stacked blocks,
+    giving each block the bits of `np.dot` on it, and one softmax gradient
+    over all heads. It adds the blocks into zeroed q, k and v gradients in
+    their layout: the chain's adding into zeroed buffers, so its gradients
+    are the chain's bits. The 1/sqrt(d) scale comes last."""
     qd, kd, vd = q.data, k.data, v.data
     if (qd.ndim < 2 or kd.shape != vd.shape or qd.shape[:-2] != kd.shape[:-2]
             or qd.shape[-1] != kd.shape[-1]):
@@ -773,45 +776,34 @@ def attention(q, k, v, heads):
     qs = np.ascontiguousarray(qs.transpose(0, 2, 1, 3))
     kt = np.ascontiguousarray(kd.reshape(n, tk, heads, d).transpose(0, 2, 3, 1))
     vs = np.ascontiguousarray(vd.reshape(n, tk, heads, d).transpose(0, 2, 1, 3))
+    logits = np.empty((heads, n, tq, tk), qd.dtype)
+    for h in range(heads):
+        for i in range(n):
+            logits[h, i] = matmul(_result(qs[i, h]), _result(kt[i, h])).data
+    a = softmax(_result(logits)).data
     out = np.empty(qd.shape, qd.dtype)
     heads_out = out.reshape(n, tq, heads, d)
-    maps = []
     for h in range(heads):
-        logits = _stack([matmul(_result(qs[i, h]), _result(kt[i, h])).data for i in range(n)])
-        # the softmax, like the map, is shaped like the queries' tokens
-        a = softmax(_result(logits.reshape(qd.shape[:-1] + (tk,)))).data
-        maps.append(a)
-        a = a.reshape(n, tq, tk)
         for i in range(n):
-            heads_out[i, :, h] = matmul(_result(a[i]), _result(vs[i, h])).data
+            heads_out[i, :, h] = matmul(_result(a[h, i]), _result(vs[i, h])).data
+    # each head's map is shaped like the queries' tokens
+    maps = [a[h].reshape(qd.shape[:-1] + (tk,)) for h in range(heads)]
     out = _result(out)
     if _trace(q, k, v):
         def bwd(g, q=_slot(q), k=_slot(k), v=_slot(v), qs=qs, kt=kt, vs=vs,
-                maps=[a.reshape(n, tq, tk) for a in maps], s=s):
+                a=a.swapaxes(0, 1), s=s):
+            # every array below is samples x heads x rows x columns
             g = np.ascontiguousarray(g.reshape(n, tq, heads, d).transpose(0, 2, 1, 3))
-            dv = np.empty(vs.shape, vs.dtype) if v.requires_grad else None
-            dq = np.empty(qs.shape, qs.dtype) if q.requires_grad else None
-            dk = np.empty(kt.shape, kt.dtype) if k.requires_grad else None
-            for h, a in enumerate(maps):
-                if dq is not None or dk is not None:
-                    da = np.empty(a.shape, a.dtype)
-                    for i in range(n):
-                        np.dot(g[i, h], vs[i, h].T, out=da[i])
-                    _softmax_grad(da, a)
-                for i in range(n):
-                    if dv is not None:
-                        np.dot(a[i].T, g[i, h], out=dv[i, h])
-                    if dq is not None:
-                        np.dot(da[i], kt[i, h].T, out=dq[i, h])
-                    if dk is not None:
-                        np.dot(qs[i, h].T, da[i], out=dk[i, h])
-            maps.clear()
-            if dv is not None:
-                _accum(v, _heads_into_zeros(v.shape, dv, (0, 2, 1, 3)), True)
-            if dk is not None:
-                _accum(k, _heads_into_zeros(k.shape, dk, (0, 2, 3, 1)), True)
-            if dq is not None:
-                dq = _heads_into_zeros(q.shape, dq, (0, 2, 1, 3))
+            if q.requires_grad or k.requires_grad:
+                da = _softmax_grad(np.matmul(g, vs.swapaxes(2, 3)), a)
+            if v.requires_grad:
+                _accum(v, _heads_into_zeros(v.shape, np.matmul(a.swapaxes(2, 3), g),
+                                            (0, 2, 1, 3)), True)
+            if k.requires_grad:
+                _accum(k, _heads_into_zeros(k.shape, np.matmul(qs.swapaxes(2, 3), da),
+                                            (0, 2, 3, 1)), True)
+            if q.requires_grad:
+                dq = _heads_into_zeros(q.shape, np.matmul(da, kt.swapaxes(2, 3)), (0, 2, 1, 3))
                 dq *= s
                 _accum(q, dq, True)
         _emit(out, bwd)

@@ -240,9 +240,10 @@ def _flat(a):
 
 def train_step(state, dataset, micro_batch=8):
     """One optimizer step on `micro_batch` consecutive samples
-    (deterministic round-robin order), run as one batched forward: the loss
-    is the sum of the samples' cross-entropies, and the 1/micro_batch is
-    folded into AdamW's scalars. A non-finite value in the forward pass or
+    (deterministic round-robin order), run as one batched forward on a view
+    of the dataset's images, or on a copy where the samples wrap around its
+    end: the loss is the sum of the samples' cross-entropies, and the
+    1/micro_batch is folded into AdamW's scalars. A non-finite value in the forward pass or
     the loss raises `TrainingDiverged`, before any parameter or moment
     changes.
 
@@ -255,7 +256,12 @@ def train_step(state, dataset, micro_batch=8):
     params = list(model.named_params())
     for _, p in params:
         p.zero_grad()
-    idx = (state.step * micro_batch + np.arange(micro_batch)) % len(dataset)
+    start = state.step * micro_batch % len(dataset)
+    if start + micro_batch <= len(dataset):
+        # consecutive samples: a view of the dataset, not a copy
+        idx = slice(start, start + micro_batch)
+    else:
+        idx = (start + np.arange(micro_batch)) % len(dataset)
     tape = GradTape()
     try:
         with tape:

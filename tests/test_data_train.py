@@ -516,6 +516,29 @@ def test_a_non_finite_last_loss_changes_no_parameter_or_moment(monkeypatch):
             assert got.tobytes() == want.tobytes(), name
 
 
+def test_a_step_reads_its_images_in_place_unless_they_wrap(monkeypatch):
+    ds = gen_synthetic(seed=8, n=12)
+    state = TrainState(model=build_model("toy", seed=0), optimizer="adamw", lr=1e-3)
+    forward = state.model.forward
+    inputs = []
+
+    def keeping(images, want_activations=True):
+        inputs.append(images.data)
+        return forward(images, want_activations)
+
+    monkeypatch.setattr(state.model, "forward", keeping)
+    train_step(state, ds, micro_batch=8)
+    assert np.shares_memory(inputs[0], ds.images)
+    assert inputs[0].tobytes() == ds.images[:8].tobytes()
+    # the second step takes samples 8-11 and 0-3: the loss of that gather
+    idx = np.arange(8, 16) % 12
+    logits, _ = forward(Tensor(ds.images[idx]), want_activations=False)
+    want = T.sum(cross_entropy(logits, ds.labels[idx])).item() / 8
+    assert train_step(state, ds, micro_batch=8) == want
+    assert not np.shares_memory(inputs[1], ds.images)
+    assert inputs[1].tobytes() == ds.images[idx].tobytes()
+
+
 # -- pinned results of three optimizer steps -----------------------------------
 
 def _digests(state):

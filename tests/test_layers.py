@@ -79,14 +79,14 @@ def test_head_average_is_bitwise_the_mean_of_the_stacked_maps(monkeypatch, heads
     for _, p in attn.named_params():
         p.data = p.data.astype(dtype)
     maps = []
-    softmax = layers.T.softmax
+    attention = layers.T.attention
 
-    def keeping(x):
-        out = softmax(x)
-        maps.append(out.data.copy())
-        return out
+    def keeping(*args):
+        out, weights = attention(*args)
+        maps.extend(w.copy() for w in weights)
+        return out, weights
 
-    monkeypatch.setattr(layers.T, "softmax", keeping)
+    monkeypatch.setattr(layers.T, "attention", keeping)
     rng = np.random.default_rng(39)
     for n, m in [(16, 4), (37, 11)]:
         maps.clear()

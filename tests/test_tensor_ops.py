@@ -292,48 +292,62 @@ def composed_attention(q, k, v, heads):
     return T.concat(outs, axis=1), maps
 
 
-# (Tq, Tk, C, heads, inputs that take gradients)
+# (Tq, Tk, C, heads, inputs that take gradients, samples stacked or None)
 _ATTENTION_CASES = {
-    "one_head": (5, 5, 4, 1, "qkv"),
-    "one_key": (4, 1, 8, 2, "qkv"),
-    "tq_ne_tk": (3, 7, 12, 3, "qkv"),
-    "eight_heads": (4, 12, 32, 8, "qkv"),
-    "v_only": (4, 6, 8, 2, "v"),
+    "one_head": (5, 5, 4, 1, "qkv", None),
+    "one_key": (4, 1, 8, 2, "qkv", None),
+    "tq_ne_tk": (3, 7, 12, 3, "qkv", None),
+    "eight_heads": (4, 12, 32, 8, "qkv", None),
+    "v_only": (4, 6, 8, 2, "v", None),
+    # a stack of three samples, each compared with the chain run on it alone
+    "one_key_stacked": (4, 1, 8, 2, "qkv", 3),
+    "eight_heads_stacked": (4, 12, 32, 8, "qkv", 3),
+    "v_only_stacked": (4, 6, 8, 2, "v", 3),
 }
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("case", list(_ATTENTION_CASES))
 def test_attention_is_bitwise_the_composed_chain(case, dtype):
-    tq, tk, c, heads, grads = _ATTENTION_CASES[case]
+    tq, tk, c, heads, grads, n = _ATTENTION_CASES[case]
     rng = np.random.default_rng(42)
-    arrays = [rng.standard_normal(shape).astype(dtype)
+    lead = () if n is None else (n,)
+    arrays = [rng.standard_normal(lead + shape).astype(dtype)
               for shape in ((tq, c), (tk, c), (tk, c))]
-    weight = Tensor(rng.standard_normal((tq, c)).astype(dtype))
+    weight = rng.standard_normal(lead + (tq, c)).astype(dtype)
 
-    def run(attention):
+    def run(attention, arrays, weight):
         q, k, v = (Tensor(a.copy(), requires_grad=name in grads)
                    for name, a in zip("qkv", arrays))
         tape = GradTape()
         with tape:
             out, maps = attention(q, k, v, heads)
             records = len(tape)
-            loss = T.sum(T.mul(out, weight))
+            loss = T.sum(T.mul(out, Tensor(weight)))
         T.backward(tape, loss)
         return out.data, maps, [t.grad for t in (q, k, v)], records
 
-    out, maps, grads_got, records = run(T.attention)
-    want_out, want_maps, grads_want, _ = run(composed_attention)
+    out, maps, grads_got, records = run(T.attention, arrays, weight)
     assert records == 1
-    assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
-    assert [m.tobytes() for m in maps] == [m.tobytes() for m in want_maps]
-    for name, got, want in zip("qkv", grads_got, grads_want):
-        assert (got is None) == (name not in grads), name
-        if got is not None:
-            assert got.dtype == dtype and got.tobytes() == want.tobytes(), name
-    if tk == 1:
-        # one key: every softmax row is exactly 1, whatever the queries
-        assert not np.any(grads_got[0]) and not np.any(grads_got[1])
+    if n is None:
+        got = [(out, maps, grads_got)]
+        want = [run(composed_attention, arrays, weight)]
+    else:
+        assert out.shape == (n, tq, c)
+        assert all(m.shape == (n, tq, tk) for m in maps)
+        got = [(out[i], [m[i] for m in maps], [None if g is None else g[i] for g in grads_got])
+               for i in range(n)]
+        want = [run(composed_attention, [a[i] for a in arrays], weight[i]) for i in range(n)]
+    for (out, maps, grads_got), (want_out, want_maps, grads_want, _) in zip(got, want):
+        assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
+        assert [m.tobytes() for m in maps] == [m.tobytes() for m in want_maps]
+        for name, g, w in zip("qkv", grads_got, grads_want):
+            assert (g is None) == (name not in grads), name
+            if g is not None:
+                assert g.dtype == dtype and g.tobytes() == w.tobytes(), name
+        if tk == 1:
+            # one key: every softmax row is exactly 1, whatever the queries
+            assert not np.any(grads_got[0]) and not np.any(grads_got[1])
 
 
 def test_attention_refuses_inputs_that_do_not_fit():
