@@ -21,14 +21,18 @@ that replays the chain's backward, bit for bit.
 
 Ops take a leading batch axis where the model has one: any axes before a
 token matrix's last two, or before a map's H x W x C, stack samples. A
-product takes the samples' rows as the rows of one 2-d `matmul`, a
-convolution calls its kernels once per map, and attention's forward takes
-its products once per sample and head, with one softmax over them all; its
-backward takes each product once over every sample and head. What reduces
-over tokens or pixels does so per sample.
+product takes the samples' rows as the rows of one 2-d `matmul`, and so
+does a dense convolution's forward, over every map's receptive fields; its
+backward takes each product once over every map. A depthwise convolution
+calls its kernels once per map. Attention's forward takes its products
+once per sample and head, with one softmax over them all; its backward
+takes each product once over every sample and head. What reduces over
+tokens or pixels does so per sample.
 
-A module-level MAC counter (see `count_macs`) instruments matmul and conv2d
-so analytic cost models can be checked against an executed forward pass.
+A module-level MAC counter (see `count_macs`) instruments matmul, which
+counts every product of the forward (those of `linear`, `attention` and a
+dense conv2d among them), and a depthwise conv2d, so analytic cost models
+can be checked against an executed forward pass.
 """
 
 from __future__ import annotations
@@ -311,7 +315,8 @@ _MAC_COUNTER = None
 
 @contextmanager
 def count_macs():
-    """Count multiply-accumulates of matmul/conv2d executed in the block."""
+    """Count multiply-accumulates of the matmuls (a dense conv2d's among
+    them) and depthwise conv2ds executed in the block."""
     global _MAC_COUNTER
     prev = _MAC_COUNTER
     counter = MacCounter()
@@ -583,11 +588,62 @@ def _stack(arrays):
     return np.concatenate(arrays).reshape((len(arrays),) + first.shape)
 
 
+def _im2col(xp, kh, kw, stride):
+    """The receptive fields of each map of an n x Hp x Wp x C stack as the
+    rows of an n x (Ho*Wo) x (kh*kw*C) array, columns in the weights' (kh,
+    kw, C) order: one copy through a strided view of the C-contiguous xp
+    (made with the ndarray constructor, as the kernels' are). A 1 x 1
+    stride-1 conv's is xp itself, reshaped without a copy."""
+    n, hp, wp, c = xp.shape
+    if kh == kw == stride == 1:
+        return xp.reshape(n, hp * wp, c)
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    sn, sh, sw, sc = xp.strides
+    win = np.ndarray((n, ho, wo, kh, kw, c), xp.dtype, xp, 0,
+                     (sn, sh * stride, sw * stride, sh, sw, sc))
+    return win.reshape(n, ho * wo, kh * kw * c)
+
+
+def _dense_conv_backward(xp, wd, g, need_dx, stride):
+    """(dxp, dw) of the dense correlation of the n x Hp x Wp x Cin stack xp
+    with kh x kw x Cin x Cout weights wd, given the n x Ho x Wo x Cout
+    gradient g; dxp is None unless `need_dx`.
+
+    Each product runs per map, as one `np.matmul` over the maps' blocks,
+    which gives each block the bits of `np.dot` on it: dW = cols^T g, whose
+    blocks `np.add.reduce` then sums in map order (its inner loop runs over
+    dW's elements; one map's block is its dW), and dcols = g W^T. One
+    strided add per tap takes dcols into dxp for the whole stack."""
+    n, ho, wo, cout = g.shape
+    kh, kw, cin = wd.shape[:3]
+    g = g.reshape(n, ho * wo, cout)
+    # the columns die before dcols is made, which can then reuse their
+    # pages: kept alive, they cost a large map's dcols a page fault a page
+    dw = np.matmul(_im2col(xp, kh, kw, stride).swapaxes(1, 2), g)
+    dw = (dw[0] if n == 1 else np.add.reduce(dw, axis=0)).reshape(wd.shape)
+    if not need_dx:
+        return None, dw
+    dcols = np.matmul(g, wd.reshape(-1, cout).T)
+    if kh == kw == stride == 1:
+        return dcols.reshape(xp.shape), dw
+    dcols = dcols.reshape(n, ho, wo, kh, kw, cin)
+    dxp = np.zeros_like(xp)
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, ki:ki + ho * stride:stride, kj:kj + wo * stride:stride] += dcols[:, :, :, ki, kj]
+    return dxp, dw
+
+
 def conv2d(x, w, bias, stride=1, padding=0, groups=1):
     """Cross-correlation of an H x W x Cin map, or of each map of a stack
     (... x H x W x Cin), with kh x kw x Cin/g x Cout weights plus a bias; a
-    depthwise one (groups=cin=cout) is stride 1. The kernels run once per
-    map."""
+    depthwise one (groups=cin=cout) is stride 1.
+
+    A dense conv (groups=1) runs over the whole stack: its forward is one
+    2-d `matmul` of every map's receptive fields (`_im2col`) against the
+    weights, on untaped tensors as in `linear`, so it is counted as one
+    product; its backward is `_dense_conv_backward`. A depthwise conv calls
+    its kernels once per map."""
     xd, wd = x.data, w.data
     kh, kw, cig, cout = wd.shape
     h, wdt, cin = xd.shape[-3:]
@@ -619,27 +675,36 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
         xp = maps
     ho = (h + 2 * ph - kh) // stride + 1
     wo = (wdt + 2 * pw - kw) // stride + 1
-    _count(n * ho * wo * kh * kw * cig * cout)
-    y = _stack([kernels.conv_forward(m, wd, stride, groups) for m in xp])
+    if groups == 1:
+        cols = _im2col(xp, kh, kw, stride)
+        y = matmul(_result(cols.reshape(-1, cols.shape[2])), _result(wd.reshape(-1, cout))).data
+    else:
+        _count(n * ho * wo * kh * kw * cout)
+        y = _stack([kernels.conv_forward(m, wd, stride, groups) for m in xp])
     y += bias.data
-    out = _result(y.reshape(lead + y.shape[1:]))
+    out = _result(y.reshape(lead + (ho, wo, cout)))
     if _trace(x, w, bias):
         def bwd(g, x=_slot(x), w=_slot(w), bias=_slot(bias), xp=xp, wd=wd,
                 ph=ph, pw=pw, stride=stride, groups=groups):
             g = np.ascontiguousarray(g)
+            gs = g.reshape((-1,) + g.shape[-3:])
             # no input gradient for an input that takes none, such as an image
-            dxps, dw = [], None
-            for m, gm in zip(xp, g.reshape((-1,) + g.shape[-3:])):
-                dxp, dwm = kernels.conv_backward(m, wd, gm, x.requires_grad, stride, groups)
-                dxps.append(dxp)
-                if dw is None:
-                    dw = dwm
-                else:
-                    dw += dwm
+            if groups == 1:
+                dxp, dw = _dense_conv_backward(xp, wd, gs, x.requires_grad, stride)
+            else:
+                dxps, dw = [], None
+                for m, gm in zip(xp, gs):
+                    dxpm, dwm = kernels.conv_backward(m, wd, gm, x.requires_grad, stride, groups)
+                    dxps.append(dxpm)
+                    if dw is None:
+                        dw = dwm
+                    else:
+                        dw += dwm
+                dxp = _stack(dxps) if x.requires_grad else None
             if x.requires_grad:
                 h, wdt = x.shape[-3:-1]
                 # a padded map's interior is a strided slice, and is copied
-                _accum(x, _stack(dxps)[:, ph:ph + h, pw:pw + wdt].reshape(x.shape), True)
+                _accum(x, dxp[:, ph:ph + h, pw:pw + wdt].reshape(x.shape), True)
             if w.requires_grad:
                 _accum(w, dw, True)
             if bias.requires_grad:

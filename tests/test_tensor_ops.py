@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dualtoken import kernels
 from dualtoken import tensor as T
 from dualtoken.model import build_model
 from dualtoken.tensor import GradTape, Tensor
@@ -88,27 +87,18 @@ def test_matmul_matches_naive_oracle(dtype):
 
 def _model_product_shapes():
     """(m, k, n) of every 2-d product that a toy and a dualtoken_t_mix 224^2
-    forward take: each `T.matmul`, and each dense conv's GEMM, whose forward
-    and backward multiply the same layouts as `T.matmul`'s (cols @ W, and
-    dy @ W.T and cols.T @ dy)."""
+    forward take through `T.matmul`: a dense conv's among them, whose
+    backward multiplies the same layouts per map (cols^T @ dy and
+    dy @ W^T)."""
     shapes = set()
-    matmul, conv_forward = T.matmul, kernels.conv_forward
+    matmul = T.matmul
 
     def caught_matmul(a, b):
         shapes.add(a.shape + b.shape[1:])
         return matmul(a, b)
 
-    def caught_conv(xp, w, stride, groups):
-        if groups == 1:
-            kh, kw, cin, cout = w.shape
-            ho = (xp.shape[0] - kh) // stride + 1
-            wo = (xp.shape[1] - kw) // stride + 1
-            shapes.add((ho * wo, kh * kw * cin, cout))
-        return conv_forward(xp, w, stride, groups)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "matmul", caught_matmul)
-        mp.setattr(kernels, "conv_forward", caught_conv)
         for name in ("toy", "dualtoken_t_mix"):
             model = build_model(name, seed=0)
             side = model.cfg.input_resolution
