@@ -176,9 +176,11 @@ def extract_attention_map(model: Model, image, query="mean"):
     """Head-averaged broadcast-attention rows of the last block for one image.
 
     `query` is an image-token index, "mean" (average over all queries), or
-    "all".
+    "all". A stack of images is refused with `ValueError`.
     """
     image = image if isinstance(image, Tensor) else Tensor(image)
+    if image.data.ndim != 3:
+        raise ValueError(f"expected one image, got an array of shape {image.shape}")
     _, attention = model.forward(image)
     source_block = list(attention)[-1]
     attn = attention[source_block]  # N x n_g

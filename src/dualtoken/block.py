@@ -47,9 +47,8 @@ class ConvEncoder(Layer):
 
 class WindowAttentionLocal(Layer):
     """Multi-head self-attention inside non-overlapping windows, plus the
-    residual; the ablation alternative to the conv encoder. A stack of maps
-    is cut into windows at once, and each window position attends over all
-    the samples' windows there as one stack."""
+    residual; the ablation alternative to the conv encoder. Every window of
+    every sample of a stack of maps attends as one stack of win² tokens."""
 
     def __init__(self, rng, channels, heads, window):
         self.attn = MultiHeadAttention(rng, channels, heads)
@@ -60,19 +59,15 @@ class WindowAttentionLocal(Layer):
         win = self.window
         if h % win or w % win:
             raise ValueError(f"feature map {h}x{w} not divisible by window {win}")
-        nh, nw, n = h // win, w // win, win * win
+        nh, nw = h // win, w // win
         samples = math.prod(lead)
-        # window-major: y[i] holds window i of every sample, samples x n tokens
-        y = T.reshape(x, (samples, nh, win, nw, win, c))
-        y = T.reshape(T.transpose(y, (1, 3, 0, 2, 4, 5)), (nh * nw, samples, n, c))
-        # the residual is added per window: one add over every row would sum
-        # the input gradient in another order
-        outs = []
-        for i in range(nh * nw):
-            tokens = T.slice_axis(y, 0, i, i + 1)
-            outs.append(T.add(tokens, self.attn(tokens)))
-        y = T.reshape(T.concat(outs, axis=0), (nh, nw, samples, win, win, c))
-        return T.reshape(T.transpose(y, (2, 0, 3, 1, 4, 5)), x.shape)
+        # (sample, window row, window column) x win² tokens x C; the
+        # permutation is its own inverse
+        perm = (0, 1, 3, 2, 4, 5)
+        y = T.transpose(T.reshape(x, (samples, nh, win, nw, win, c)), perm)
+        y = T.reshape(y, (samples * nh * nw, win * win, c))
+        y = T.reshape(T.add(y, self.attn(y)), (samples, nh, nw, win, win, c))
+        return T.reshape(T.transpose(y, perm), x.shape)
 
 
 class Downsampler(Layer):

@@ -64,8 +64,11 @@ def _check(check, ok, expected, got, tol):
 
 def _load_image(args, cfg):
     """The --image array, or a random image drawn from --seed at the
-    config's resolution, as float32. The array must hold integers or real
-    floats: a bool, complex, string, date or structured array is refused."""
+    config's resolution, as float32. The array must be one S x S x 3 image,
+    S the config's resolution, of integers or real floats: a stack of
+    images, or a bool, complex, string, date or structured array, is
+    refused."""
+    s = cfg.input_resolution
     if args.image:
         image = np.load(args.image)
         if not isinstance(image, np.ndarray):
@@ -75,10 +78,12 @@ def _load_image(args, cfg):
                 or np.issubdtype(image.dtype, np.floating)):
             raise ValueError(f"--image {args.image} holds {image.dtype} values, "
                              "not real numbers")
+        if image.shape != (s, s, 3):
+            raise ValueError(f"--image {args.image} holds an array of shape "
+                             f"{image.shape}, not one {s} x {s} x 3 image")
         return image.astype(np.float32)
     rng = np.random.default_rng(args.seed)
-    return rng.standard_normal(
-        (cfg.input_resolution, cfg.input_resolution, 3)).astype(np.float32)
+    return rng.standard_normal((s, s, 3)).astype(np.float32)
 
 
 def cmd_count(args):

@@ -996,11 +996,9 @@ def slice_axis(x, axis, start, stop):
     out = _result(np.ascontiguousarray(xd[idx]))
     if _trace(x):
         def bwd(g, x=_slot(x), idx=idx):
-            # add into the slice: several slices of one tensor share a buffer
-            if x.grad is None:
-                x.grad = np.zeros(x.shape, x.dtype)
-            view = x.grad[idx]
-            np.add(view, g, out=view)
+            gx = np.zeros(x.shape, x.dtype)
+            gx[idx] += g
+            _accum(x, gx, True)
         _emit(out, bwd)
     return out
 

@@ -158,6 +158,12 @@ def test_attention_map_query_out_of_range():
         extract_attention_map(model, img, query=100)
 
 
+def test_attention_map_refuses_a_stack_of_images():
+    model = build_model("toy_grad", seed=7)
+    with pytest.raises(ValueError, match="one image"):
+        extract_attention_map(model, np.zeros((2, 32, 32, 3), np.float32))
+
+
 def test_top_cells_matches_a_sort_oracle():
     rng = np.random.default_rng(8)
     m = rng.standard_normal((7, 7))

@@ -73,16 +73,19 @@ def test_window_attention_single_window_equals_plain_attention():
     assert np.abs(got - want).max() <= 1e-6
 
 
-def test_window_attention_windows_do_not_interact():
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["one_map", "stack"])
+def test_window_attention_windows_do_not_interact(lead):
     local = WindowAttentionLocal(np.random.default_rng(48), 8, 2, window=2)
     rng = np.random.default_rng(49)
-    x = rng.standard_normal((4, 4, 8)).astype(np.float32)
-    base = local(Tensor(x)).data
+    x = rng.standard_normal(lead + (4, 4, 8)).astype(np.float32)
+    base = local(Tensor(x)).data.reshape(-1, 4, 4, 8)
     x2 = x.copy()
-    x2[2:, 2:] += 1.0     # touch only the lower-right window
-    bumped = local(Tensor(x2)).data
-    assert (base[:2, :2] == bumped[:2, :2]).all()
-    assert not (base[2:, 2:] == bumped[2:, 2:]).all()
+    x2.reshape(-1, 4, 4, 8)[-1, :2, 2:] += 1.0  # the last map's upper-right window
+    bumped = local(Tensor(x2)).data.reshape(-1, 4, 4, 8)
+    touched = np.zeros(base.shape[:-1], bool)
+    touched[-1, :2, 2:] = True
+    assert (base[~touched] == bumped[~touched]).all()
+    assert not (base[touched] == bumped[touched]).all()
 
 
 def test_fusion_alpha_zero_passes_the_aggregated_map_through():

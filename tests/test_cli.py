@@ -313,6 +313,20 @@ def test_an_image_of_another_side_is_one_fail_line(command, tmp_path, capsys):
     assert code == 0 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("command", ["forward", "attnmap"])
+def test_a_stack_of_images_is_one_fail_line(command, tmp_path):
+    # the model takes a stack, but these commands report on one image
+    path = tmp_path / "images.npy"
+    np.save(path, np.zeros((2, 32, 32, 3), np.float32))
+    argv = [command, "--preset", "toy", "--image", str(path)]
+    if command == "attnmap":
+        argv += ["--out", str(tmp_path / "maps")]
+    code, out, err = run_process(argv)
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError") and "(2,_32,_32,_3)" in out
+    assert not (tmp_path / "maps").exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "gen-data"])
 def test_a_zero_resolution_is_one_fail_line(command, tmp_path):
     path = tmp_path / "data.dtvt"

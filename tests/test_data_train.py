@@ -628,6 +628,10 @@ _TRAINING_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_TRAINING_CASES))
+# the toy cases hash the bits of the default GEMM and exp kernels, so other
+# kernels fail them on any change at all
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=pytest.mark.kernel_bits) if case.startswith("toy") else case
+    for case in _TRAINING_CASES])
 def test_three_steps_match_the_pinned_digests(tmp_path, case):
     assert _digests(_TRAINING_CASES[case](tmp_path)) == _TRAINING_DIGESTS[case]
