@@ -1,10 +1,12 @@
 """Depthwise convolution kernels in numpy: one einsum per contraction.
 
 `tensor.conv2d` runs a dense convolution (groups == 1) itself, as products
-over the whole stack of maps, and calls these kernels once per map of a
+over the whole stack of maps, and calls each of these kernels once per
 depthwise convolution (groups == Cin == Cout), the only other grouping the
-model uses. Inputs are read through strided window views, and no kernel
-loops over taps through a matmul or a per-tap temporary.
+model uses: a stack's maps arrive side by side on the channel axis, as one
+map whose channels are computed independently. Inputs are read through
+strided window views, and no kernel loops over taps through a matmul or a
+per-tap temporary.
 
 Depthwise convolutions are stride 1; both kernels, like `tensor.conv2d`,
 raise `ValueError` on any other stride, and on any grouping but depthwise.

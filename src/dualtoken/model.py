@@ -147,7 +147,11 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("config JSON nests too deeply to parse") from None
+        return cls.from_dict(d)
 
 
 _TINY = (StageConfig(2, 48, 2, 5), StageConfig(6, 96, 4, 7), StageConfig(4, 192, 8, None))

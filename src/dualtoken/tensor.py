@@ -24,10 +24,11 @@ token matrix's last two, or before a map's H x W x C, stack samples. A
 product takes the samples' rows as the rows of one 2-d `matmul`, and so
 does a dense convolution's forward, over every map's receptive fields; its
 backward takes each product once over every map. A depthwise convolution
-calls its kernels once per map. Attention's forward takes its products
-once per sample and head, with one softmax over them all; its backward
-takes each product once over every sample and head. What reduces over
-tokens or pixels does so per sample.
+calls each of its kernels once, on the maps side by side on the channel
+axis. Attention's forward takes its products once per sample and head,
+with one softmax over them all; its backward takes each product once over
+every sample and head. What reduces over tokens or pixels does so per
+sample.
 
 A module-level MAC counter (see `count_macs`) instruments matmul, which
 counts every product of the forward (those of `linear`, `attention` and a
@@ -579,15 +580,6 @@ def linear(x, w, b=None):
     return out
 
 
-def _stack(arrays):
-    """Arrays of one shape stacked on a new first axis; one array is not
-    copied."""
-    first = arrays[0]
-    if len(arrays) == 1:
-        return first[None]
-    return np.concatenate(arrays).reshape((len(arrays),) + first.shape)
-
-
 def _im2col(xp, kh, kw, stride):
     """The receptive fields of each map of an n x Hp x Wp x C stack as the
     rows of an n x (Ho*Wo) x (kh*kw*C) array, columns in the weights' (kh,
@@ -620,7 +612,7 @@ def _dense_conv_backward(xp, wd, g, need_dx, stride):
     # the columns die before dcols is made, which can then reuse their
     # pages: kept alive, they cost a large map's dcols a page fault a page
     dw = np.matmul(_im2col(xp, kh, kw, stride).swapaxes(1, 2), g)
-    dw = (dw[0] if n == 1 else np.add.reduce(dw, axis=0)).reshape(wd.shape)
+    dw = np.add.reduce(dw, axis=0).reshape(wd.shape)
     if not need_dx:
         return None, dw
     dcols = np.matmul(g, wd.reshape(-1, cout).T)
@@ -642,8 +634,12 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
     A dense conv (groups=1) runs over the whole stack: its forward is one
     2-d `matmul` of every map's receptive fields (`_im2col`) against the
     weights, on untaped tensors as in `linear`, so it is counted as one
-    product; its backward is `_dense_conv_backward`. A depthwise conv calls
-    its kernels once per map."""
+    product; its backward is `_dense_conv_backward`. A depthwise conv lays
+    the padded maps side by side as one Hp x Wp x (n*C) map, whose channels
+    the kernels compute independently, each with its map's taps: one
+    forward and one backward kernel call per conv, each channel with the
+    bits of its map run alone. The maps' tap gradients are summed in map
+    order."""
     xd, wd = x.data, w.data
     kh, kw, cig, cout = wd.shape
     h, wdt, cin = xd.shape[-3:]
@@ -680,7 +676,11 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
         y = matmul(_result(cols.reshape(-1, cols.shape[2])), _result(wd.reshape(-1, cout))).data
     else:
         _count(n * ho * wo * kh * kw * cout)
-        y = _stack([kernels.conv_forward(m, wd, stride, groups) for m in xp])
+        # the maps side by side on the channel axis, each with its own taps
+        xp = xp.transpose(1, 2, 0, 3).reshape(xp.shape[1], xp.shape[2], n * cin)
+        wd = np.tile(wd, n)
+        y = kernels.conv_forward(xp, wd, stride, n * cin)
+        y = y.reshape(ho, wo, n, cout).transpose(2, 0, 1, 3)
     y += bias.data
     out = _result(y.reshape(lead + (ho, wo, cout)))
     if _trace(x, w, bias):
@@ -692,15 +692,13 @@ def conv2d(x, w, bias, stride=1, padding=0, groups=1):
             if groups == 1:
                 dxp, dw = _dense_conv_backward(xp, wd, gs, x.requires_grad, stride)
             else:
-                dxps, dw = [], None
-                for m, gm in zip(xp, gs):
-                    dxpm, dwm = kernels.conv_backward(m, wd, gm, x.requires_grad, stride, groups)
-                    dxps.append(dxpm)
-                    if dw is None:
-                        dw = dwm
-                    else:
-                        dw += dwm
-                dxp = _stack(dxps) if x.requires_grad else None
+                n, ho, wo, c = gs.shape
+                gs = gs.transpose(1, 2, 0, 3).reshape(ho, wo, n * c)
+                dxp, dw = kernels.conv_backward(xp, wd, gs, x.requires_grad, stride, n * c)
+                # the maps' taps, summed in map order
+                dw = np.add.reduce(dw.reshape(wd.shape[:3] + (n, c)), axis=3)
+                if x.requires_grad:
+                    dxp = dxp.reshape(dxp.shape[:2] + (n, c)).transpose(2, 0, 1, 3)
             if x.requires_grad:
                 h, wdt = x.shape[-3:-1]
                 # a padded map's interior is a strided slice, and is copied

@@ -85,6 +85,19 @@ def test_count_published_preset_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--preset", "dualtoken_t_mix", "--resolution", "256"],
+    ["--preset", "dualtoken_s", "--tokens", "normal"],
+    ["--preset", "dualtoken_s", "--grid", "3"],
+], ids=["resolution", "tokens", "grid"])
+def test_count_of_a_modified_preset_prints_no_table_line(argv, capsys):
+    # the paper's figures are those of the preset as published; before,
+    # each of these printed a FAIL line against them and exited 1
+    code, out, _ = run(["count", *argv], capsys)
+    assert code == 0
+    assert not [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+
+
 def test_forward_is_deterministic(capsys):
     code1, out1, _ = run(["forward", "--preset", "toy", "--seed", "7"], capsys)
     code2, out2, _ = run(["forward", "--preset", "toy", "--seed", "7"], capsys)
@@ -185,6 +198,16 @@ def test_config_with_alpha_5_is_one_fail_line(tmp_path):
 def test_resolution_override_is_validated():
     assert_one_fail_line(*run_process(["dump-config", "--preset", "toy",
                                        "--resolution", "48"]))
+
+
+@pytest.mark.parametrize("command", ["count", "dump-config"])
+def test_a_deeply_nested_config_is_one_fail_line(command, tmp_path):
+    # json.loads raised RecursionError, which reached the user as a traceback
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_process([command, "--config", str(config)])
+    assert_one_fail_line(code, out, err)
+    assert out.startswith("FAIL ValueError")
 
 
 def test_config_with_non_list_stages_is_one_fail_line(tmp_path):
