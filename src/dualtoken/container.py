@@ -25,23 +25,30 @@ def write_tensors(path, named):
 
     Each payload is written from the array's own buffer, little-endian; only
     an array that is not C-contiguous or not little-endian is copied first.
-    A dtype the container cannot hold raises `ValueError` before `path` is
+    A dtype the container cannot hold, or a name that is not a `str` of at
+    most 65,535 bytes of UTF-8, raises `ValueError` before `path` is
     opened, so an existing file there is left as it was."""
-    items = list(named.items())
-    for name, arr in items:
+    items = []
+    for name, arr in named.items():
+        if not isinstance(name, str):
+            raise ValueError(f"tensor name {name!r} is not a str")
+        nb = name.encode("utf-8")  # a lone surrogate: UnicodeEncodeError, a ValueError
+        if len(nb) > 0xFFFF:
+            raise ValueError(f"tensor name {name[:40]!r}... is {len(nb)} bytes "
+                             "of UTF-8; DTVT stores at most 65535")
         dtype = np.asarray(arr).dtype
         if dtype.newbyteorder("=") not in _DTYPE_CODES:
             raise ValueError(f"tensor {name} has dtype {dtype}; "
                              "DTVT stores float32 and float64 only")
+        items.append((nb, arr))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(items)))
-        for name, arr in items:
+        for nb, arr in items:
             arr = np.ascontiguousarray(arr)
             code = _DTYPE_CODES[arr.dtype.newbyteorder("=")]
             arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-            nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<BB", code, arr.ndim))

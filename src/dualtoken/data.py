@@ -71,14 +71,17 @@ def gen_synthetic(seed=42, n=800, classes=8, side=32):
     return SyntheticDataset(images=images, labels=labels, classes=classes, seed=seed)
 
 
-def save_dataset(ds, path):
-    write_tensors(path, {"images": ds.images,
-                         "labels": ds.labels.astype(np.float32)})
-
-
 # save_dataset stores labels as float32, which holds every whole number up
 # to 2**24 exactly
 _MAX_LABEL = 2 ** 24
+
+
+def save_dataset(ds, path):
+    """Write `ds` as DTVT; a label float32 cannot hold raises `ValueError` first."""
+    if ds.labels.max() >= _MAX_LABEL:
+        raise ValueError(f"labels must lie below {_MAX_LABEL}, got {ds.labels.max()}")
+    write_tensors(path, {"images": ds.images,
+                         "labels": ds.labels.astype(np.float32)})
 
 
 def load_dataset(path, classes=None, seed=0):

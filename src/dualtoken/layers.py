@@ -106,7 +106,8 @@ class LayerNorm(Layer):
 
 class MultiHeadAttention(Layer):
     """Scaled dot-product attention with separate Q/K/V/out projections, on
-    T x C tokens or on a stack of them (see `tensor.attention`)."""
+    T x C tokens or on a stack of them (see `tensor.attention`); with
+    `need_weights`, also the heads' maps averaged (... x Tq x Tk)."""
 
     def __init__(self, rng, channels, heads):
         if channels % heads != 0:
@@ -120,15 +121,12 @@ class MultiHeadAttention(Layer):
     def __call__(self, q_src, kv_src=None, need_weights=False):
         if kv_src is None:
             kv_src = q_src
-        y, weights = T.attention(self.q_proj(q_src), self.k_proj(kv_src),
-                                 self.v_proj(kv_src), self.heads)
+        y, maps = T.attention(self.q_proj(q_src), self.k_proj(kv_src),
+                              self.v_proj(kv_src), self.heads)
         out = self.out_proj(y)
         if need_weights:
-            # the maps added in head order and divided once: the bits of
-            # np.mean over the stacked maps, without the stack
-            avg = weights[0].copy()
-            for w in weights[1:]:
-                avg += w
+            # a sum over an outer axis adds the heads in order: np.mean's bits
+            avg = np.add.reduce(maps, axis=-3)
             avg /= self.heads
             return out, avg
         return out

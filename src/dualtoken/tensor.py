@@ -17,7 +17,8 @@ a caller the moment a leaf's gradient is complete (`on_leaf_done`).
 Two ops stand for a chain of others: `linear` (a product, then a bias
 add) and `attention` (multi-head attention). Each runs its chain through
 `matmul` (and `softmax`) on untaped tensors and records a single closure
-that replays the chain's backward, bit for bit.
+that replays the chain's backward, bit for bit. `sub` is no op of its
+own: it records a `scale` by -1 and an `add`.
 
 Ops take a leading batch axis where the model has one: any axes before a
 token matrix's last two, or before a map's H x W x C, stack samples. A
@@ -70,23 +71,19 @@ _LN_EPS = 1e-6  # added to the variance under layernorm's square root
 class Tensor:
     """A dense n-d array with an optional gradient buffer. The gradient of a
     tensor that an op recorded on a tape lives in its slot (see `_Slot`),
-    and its .grad stays None."""
+    and its .grad stays None. `Tensor(data)` refuses complex data, casts
+    other non-float data to float32 and keeps a C-contiguous array of at
+    least one dim, the same object if it is one already."""
 
     __slots__ = ("data", "grad", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad=False):
-        # fast path: a C-contiguous float array is kept as it is (a 0-d
-        # array goes the long way, where it becomes shape (1,))
-        if (type(data) is np.ndarray and data.ndim
-                and data.dtype in _FLOATS and data.flags.c_contiguous):
-            self.data = data
-        else:
-            arr = np.asarray(data)
-            if arr.dtype.kind == "c":
-                raise ValueError(f"Tensor data must be real, got {arr.dtype}")
-            if arr.dtype not in _FLOATS:
-                arr = arr.astype(np.float32)
-            self.data = np.ascontiguousarray(arr)
+        arr = np.asarray(data)
+        if arr.dtype.kind == "c":
+            raise ValueError(f"Tensor data must be real, got {arr.dtype}")
+        if arr.dtype not in _FLOATS:
+            arr = arr.astype(np.float32)
+        self.data = np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = requires_grad
         self._slot = None
@@ -351,15 +348,9 @@ def add(a, b):
 
 
 def sub(a, b):
-    out = _result(a.data - b.data)
-    if _trace(a, b):
-        def bwd(g, a=_slot(a), b=_slot(b)):
-            if a.requires_grad:
-                _accum(a, g, True)
-            if b.requires_grad:
-                _accum(b, -g, True)
-        _emit(out, bwd)
-    return out
+    """a - b, and its gradients, bit for bit: in IEEE arithmetic a + (-b)
+    is a - b, and g * -1 is -g."""
+    return add(a, scale(b, -1.0))
 
 
 def mul(a, b):
@@ -806,16 +797,16 @@ def attention(q, k, v, heads):
     keys and values, for one sample or for each of a stack (... x Tq x C
     over ... x Tk x C). Head h takes the h-th block of d = C / heads columns
     of each: softmax(q_h k_h^T / sqrt(d)) v_h. Returns the output, shaped
-    like q (the heads' outputs side by side), and the list of the heads'
-    ... x Tq x Tk maps.
+    like q (the heads' outputs side by side), and the heads' maps as one
+    ... x heads x Tq x Tk array.
 
     The forward is the chain scale, transpose, per head the three inputs'
     slices, `matmul`, `softmax` and `matmul`, then a concat, run on untaped
     tensors. Each input's blocks, for every sample and head, are gathered
     by one copy; every product still goes through `matmul`, one per sample
-    and head, and is counted. One `softmax` over the heads x samples stack
+    and head, and is counted. One `softmax` over the samples x heads stack
     of logits checks them and gives every map, and the maps returned are
-    views of it. The op records one closure, which computes the chain's
+    a view of it. The op records one closure, which computes the chain's
     backward products as one `np.matmul` each over the stacked blocks,
     giving each block the bits of `np.dot` on it, and one softmax gradient
     over all heads. It adds the blocks into zeroed q, k and v gradients in
@@ -839,22 +830,20 @@ def attention(q, k, v, heads):
     qs = np.ascontiguousarray(qs.transpose(0, 2, 1, 3))
     kt = np.ascontiguousarray(kd.reshape(n, tk, heads, d).transpose(0, 2, 3, 1))
     vs = np.ascontiguousarray(vd.reshape(n, tk, heads, d).transpose(0, 2, 1, 3))
-    logits = np.empty((heads, n, tq, tk), qd.dtype)
-    for h in range(heads):
-        for i in range(n):
-            logits[h, i] = matmul(_result(qs[i, h]), _result(kt[i, h])).data
+    logits = np.empty((n, heads, tq, tk), qd.dtype)
+    for i in range(n):
+        for h in range(heads):
+            logits[i, h] = matmul(_result(qs[i, h]), _result(kt[i, h])).data
     a = softmax(_result(logits)).data
     out = np.empty(qd.shape, qd.dtype)
     heads_out = out.reshape(n, tq, heads, d)
-    for h in range(heads):
-        for i in range(n):
-            heads_out[i, :, h] = matmul(_result(a[h, i]), _result(vs[i, h])).data
-    # each head's map is shaped like the queries' tokens
-    maps = [a[h].reshape(qd.shape[:-1] + (tk,)) for h in range(heads)]
+    for i in range(n):
+        for h in range(heads):
+            heads_out[i, :, h] = matmul(_result(a[i, h]), _result(vs[i, h])).data
+    maps = a.reshape(qd.shape[:-2] + (heads, tq, tk))
     out = _result(out)
     if _trace(q, k, v):
-        def bwd(g, q=_slot(q), k=_slot(k), v=_slot(v), qs=qs, kt=kt, vs=vs,
-                a=a.swapaxes(0, 1), s=s):
+        def bwd(g, q=_slot(q), k=_slot(k), v=_slot(v), qs=qs, kt=kt, vs=vs, a=a, s=s):
             # every array below is samples x heads x rows x columns
             g = np.ascontiguousarray(g.reshape(n, tq, heads, d).transpose(0, 2, 1, 3))
             if q.requires_grad or k.requires_grad:

@@ -73,6 +73,20 @@ def test_dataset_round_trip(tmp_path):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def test_save_dataset_refuses_a_label_float32_cannot_hold(tmp_path):
+    # 2**24 + 1 would be stored as 2**24 and load back wrong, with no error
+    path = tmp_path / "data.dtvt"
+    save_dataset(small_dataset(n=4), path)
+    before = path.read_bytes()
+    for label in (2 ** 24, 2 ** 24 + 1):
+        ds = SyntheticDataset(_images(), np.array([0, label]), 2 ** 25, 0)
+        with pytest.raises(ValueError, match=f"labels must lie below {2 ** 24}, got {label}"):
+            save_dataset(ds, path)
+        assert path.read_bytes() == before
+    save_dataset(SyntheticDataset(_images(), np.array([0, 2 ** 24 - 1]), 2 ** 25, 0), path)
+    assert load_dataset(path, classes=2 ** 25).labels.tolist() == [0, 2 ** 24 - 1]
+
+
 @pytest.mark.parametrize("classes", [2.5, 0, -1, True])
 def test_dataset_refuses_a_class_count_that_is_not_a_positive_int(classes):
     with pytest.raises(ValueError, match="classes must be a positive int"):

@@ -471,6 +471,23 @@ def test_refused_write_leaves_the_existing_file_byte_identical(tmp_path, dtype):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("name, match", [
+    (7, "tensor name 7 is not a str"),
+    (b"odd", "tensor name b'odd' is not a str"),
+    ("n" * 70000, "is 70000 bytes of UTF-8; DTVT stores at most 65535"),
+    ("\u00e9" * 32768, "is 65536 bytes of UTF-8"),
+    ("\ud800", "surrogates not allowed"),
+], ids=["int", "bytes", "70000_bytes", "65536_bytes_of_two_byte_chars", "lone_surrogate"])
+def test_a_bad_tensor_name_leaves_the_existing_file_byte_identical(tmp_path, name, match):
+    path = tmp_path / "model.dtvt"
+    save_checkpoint(build_model("toy", seed=0), path)
+    before = path.read_bytes()
+    named = {"fine": np.zeros(3, np.float32), name: np.zeros(3, np.float32)}
+    with pytest.raises(ValueError, match=match):
+        write_tensors(path, named)
+    assert path.read_bytes() == before
+
+
 def _two_tensor_blob(tmp_path):
     path = tmp_path / "pair.dtvt"
     rng = np.random.default_rng(0)

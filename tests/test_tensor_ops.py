@@ -324,8 +324,8 @@ def test_attention_is_bitwise_the_composed_chain(case, dtype):
         want = [run(composed_attention, arrays, weight)]
     else:
         assert out.shape == (n, tq, c)
-        assert all(m.shape == (n, tq, tk) for m in maps)
-        got = [(out[i], [m[i] for m in maps], [None if g is None else g[i] for g in grads_got])
+        assert maps.shape == (n, heads, tq, tk)
+        got = [(out[i], maps[i], [None if g is None else g[i] for g in grads_got])
                for i in range(n)]
         want = [run(composed_attention, [a[i] for a in arrays], weight[i]) for i in range(n)]
     for (out, maps, grads_got), (want_out, want_maps, grads_want, _) in zip(got, want):
@@ -505,6 +505,24 @@ def test_broadcast_gradient_unbroadcasts_to_parameter_shape():
     assert (b.grad == 3.0).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one_map", "stack_of_3"])
+def test_sub_and_both_its_gradients_are_bitwise_a_subtraction(lead, dtype):
+    rng = np.random.default_rng(17)
+    a, b, g = (rng.standard_normal(lead + (4, 5, 3)).astype(dtype) for _ in range(3))
+    # signed zeros: 0 - -0, -0 - 0 and a zero gradient keep their signs
+    a.flat[:2], b.flat[:2], g.flat[2] = (0.0, -0.0), (-0.0, 0.0), 0.0
+    ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    tape = GradTape()
+    with tape:
+        out = T.sub(ta, tb)
+        loss = T.sum(T.mul(out, Tensor(g)))
+    T.backward(tape, loss)
+    assert out.data.dtype == dtype and out.data.tobytes() == (a - b).tobytes()
+    assert ta.grad.dtype == dtype and ta.grad.tobytes() == g.tobytes()
+    assert tb.grad.dtype == dtype and tb.grad.tobytes() == (-g).tobytes()
+
+
 def test_a_gradient_that_does_not_reduce_to_its_tensors_shape_is_refused():
     # same size, other shape: a reshape would pass it on without an error
     x = Tensor(np.zeros((2, 3, 4)), requires_grad=True)
@@ -529,6 +547,8 @@ def test_tensor_copies_a_strided_view_and_casts_other_real_data():
     assert t.data.flags.c_contiguous and not np.shares_memory(t.data, base)
     assert t.data.tobytes() == base[:, ::2].copy().tobytes()
     assert Tensor(np.arange(3)).data.dtype == np.float32
+    kept = np.zeros((2, 3), np.float32)
+    assert Tensor(kept).data is kept
     assert Tensor(np.float64(2.5)).data.shape == (1,)
 
 
