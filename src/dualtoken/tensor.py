@@ -72,8 +72,10 @@ class Tensor:
     """A dense n-d array with an optional gradient buffer. The gradient of a
     tensor that an op recorded on a tape lives in its slot (see `_Slot`),
     and its .grad stays None. `Tensor(data)` refuses complex data, casts
-    other non-float data to float32 and keeps a C-contiguous array of at
-    least one dim, the same object if it is one already."""
+    float32 and float64 data of the other byte order to the native dtype of
+    the same width and any other real data to float32, and keeps a
+    C-contiguous array of at least one dim, the same object if it is one
+    already."""
 
     __slots__ = ("data", "grad", "requires_grad", "_slot")
 
@@ -82,7 +84,8 @@ class Tensor:
         if arr.dtype.kind == "c":
             raise ValueError(f"Tensor data must be real, got {arr.dtype}")
         if arr.dtype not in _FLOATS:
-            arr = arr.astype(np.float32)
+            native = arr.dtype.newbyteorder("=")
+            arr = arr.astype(native if native in _FLOATS else np.float32)
         self.data = np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = requires_grad

@@ -207,6 +207,31 @@ def test_resume_replays_bitwise(tmp_path):
         assert (pa.data == pb.data).all(), na
 
 
+def test_resume_continues_at_the_saved_learning_rate(tmp_path):
+    ds = grad_dataset(n=32)
+    straight = train_toy(preset("toy_grad"), ds, steps=6, lr=5e-3, seed=5)
+    half = train_toy(preset("toy_grad"), ds, steps=3, lr=5e-3, seed=5)
+    path = tmp_path / "state.dtvt"
+    save_state(half, path)
+    resumed = load_state(path, preset("toy_grad"), seed=5)
+    assert resumed.lr == 5e-3
+    train_toy(None, ds, steps=3, state=resumed)
+    assert resumed.loss_history == straight.loss_history
+    for (na, pa), (_, pb) in zip(straight.model.named_params(),
+                                 resumed.model.named_params()):
+        assert pa.data.tobytes() == pb.data.tobytes(), na
+
+
+def test_a_state_without_a_learning_rate_resumes_at_the_default(tmp_path):
+    state = train_toy(preset("toy_grad"), grad_dataset(n=8), steps=1, lr=5e-3)
+    path = tmp_path / "state.dtvt"
+    save_state(state, path)
+    named = read_tensors(path)
+    del named["meta.lr"]
+    write_tensors(path, named)
+    assert load_state(path, preset("toy_grad")).lr == 1e-3
+
+
 def test_float64_state_round_trips_moments(tmp_path):
     model = cast_model(build_model("toy_grad", seed=5), np.float64)
     state = train_toy(model, grad_dataset(n=16), steps=2, lr=1e-3)
@@ -269,11 +294,16 @@ def _orphan_second_moment(named):
     ("meta.step", _set("meta.step", [3.7])),
     ("meta.step", _set("meta.step", [-5.0])),
     ("meta.loss_history", _set("meta.loss_history", [[1.0, 2.0]])),
+    ("meta.lr", _set("meta.lr", [np.nan])),
+    ("meta.lr", _set("meta.lr", [np.inf])),
+    ("meta.lr", _set("meta.lr", [-1e-3])),
+    ("meta.lr", _set("meta.lr", [1e-3, 1e-3])),
     ("junk", _set("junk", [0.0])),
     ("adam.v.head.lin2.bias", _orphan_second_moment),
     ("adam.v.head.lin2.bias", _set("adam.v.head.lin2.bias", [1e300] * 4)),
 ], ids=["step_nan", "step_inf", "step_fraction", "step_negative",
-        "history_2d", "unknown_tensor", "orphan_second_moment", "moment_beyond_float32"])
+        "history_2d", "lr_nan", "lr_inf", "lr_negative", "lr_two_values",
+        "unknown_tensor", "orphan_second_moment", "moment_beyond_float32"])
 def test_malformed_state_raises_checkpoint_error_naming_the_tensor(tmp_path, key, edit):
     state = train_toy(preset("toy_grad"), grad_dataset(n=8), steps=1, lr=1e-3)
     path = tmp_path / "state.dtvt"
@@ -392,17 +422,22 @@ class _Params:
         return iter(self.params.items())
 
 
-# explicit ids keep each case's id from when an SGD case ran beside each
-@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)],
-                         ids=["float32-1e-06-adamw", "float64-1e-12-adamw"])
-def test_in_place_update_matches_the_reference(dtype, tol):
+def _check_against_the_reference(dtype, tol, replaced=()):
+    """Three `_apply_update`s on the `_Params` stand-in against three
+    `_reference_update`s on a copy, with the same seeded gradients; after
+    the first step, the tensors named in `replaced` get new `.data` arrays
+    of the same shape and dtype, with the same values on both."""
     micro_batch = 8
     fast = TrainState(model=_Params(np.random.default_rng(0), dtype),
                       optimizer="adamw", lr=1e-2)
     slow = TrainState(model=_Params(np.random.default_rng(0), dtype),
                       optimizer="adamw", lr=1e-2)
     rng = np.random.default_rng(1)
-    for _ in range(3):
+    for step in range(3):
+        for name in replaced if step == 1 else ():
+            new = rng.standard_normal(fast.model.params[name].shape).astype(dtype)
+            fast.model.params[name].data = new
+            slow.model.params[name].data = new.copy()
         for name, p in fast.model.named_params():
             p.grad = (micro_batch * rng.standard_normal(p.shape)).astype(dtype)
         _apply_update(fast, fast.model.named_params(), micro_batch)
@@ -421,6 +456,78 @@ def test_in_place_update_matches_the_reference(dtype, tol):
     for name, (m, v) in fast.moments.items():
         close(m, slow.moments[name][0])
         close(v, slow.moments[name][1])
+
+
+# explicit ids keep each case's id from when an SGD case ran beside each
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)],
+                         ids=["float32-1e-06-adamw", "float64-1e-12-adamw"])
+def test_in_place_update_matches_the_reference(dtype, tol):
+    _check_against_the_reference(dtype, tol)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_small_data_a_caller_replaces_between_steps_is_updated_from_its_new_values(
+        dtype, tol):
+    # the first step moved every small tensor's data into a flat buffer, so
+    # the arrays replaced here are views into it
+    _check_against_the_reference(dtype, tol, replaced=("small", "tiny3"))
+
+
+def test_values_written_into_the_data_between_states_are_trained_on():
+    # the benchmark's reset: the initial weights written back in place, then
+    # a new state with zero moments
+    ds = gen_synthetic(seed=8, n=16)
+    model = build_model("toy", seed=0)
+    initial = [(p, p.data.copy()) for _, p in model.named_params()]
+    first = TrainState(model=model, optimizer="adamw", lr=1e-3)
+    for _ in range(2):
+        train_step(first, ds)
+    want = {name: (p.data.copy(), *(a.copy() for a in first.moments[name]))
+            for name, p in model.named_params()}
+    for p, init in initial:
+        p.data[...] = init
+    again = TrainState(model=model, optimizer="adamw", lr=1e-3)
+    again.moments = {n: (np.zeros_like(p.data), np.zeros_like(p.data))
+                     for n, p in model.named_params()}
+    for _ in range(2):
+        train_step(again, ds)
+    assert again.loss_history == first.loss_history
+    for name, p in model.named_params():
+        for got, ref in zip((p.data, *again.moments[name]), want[name]):
+            assert got.tobytes() == ref.tobytes(), name
+
+
+def test_a_new_state_trains_in_the_buffer_an_earlier_state_packed():
+    ds = gen_synthetic(seed=8, n=16)
+    model = build_model("toy", seed=0)
+    assert all(p.data.size < train_mod._BLOCK for _, p in model.named_params())
+    train_step(TrainState(model=model, optimizer="adamw", lr=1e-3), ds)
+    datas = [p.data for _, p in model.named_params()]
+    buffer = datas[0].base
+    assert buffer.ndim == 1 and buffer.size == sum(a.size for a in datas)
+    assert all(a.base is buffer for a in datas)
+    before = buffer.copy()
+    train_step(TrainState(model=model, optimizer="adamw", lr=1e-3), ds)
+    for (name, p), a in zip(model.named_params(), datas):
+        assert p.data is a and np.shares_memory(p.data, buffer), name
+    assert not np.array_equal(buffer, before)
+
+
+def test_a_step_passes_backward_a_hook_only_for_a_tensor_of_one_block_or_more(
+        monkeypatch):
+    hooks = []
+    backward = T.backward
+
+    def spy(tape, loss, on_leaf_done=None):
+        hooks.append(on_leaf_done)
+        return backward(tape, loss, on_leaf_done)
+
+    monkeypatch.setattr(T, "backward", spy)
+    ds = gen_synthetic(seed=8, n=16)
+    train_step(TrainState(model=build_model("toy", seed=0), optimizer="adamw",
+                          lr=1e-3), ds)
+    train_step(_wide_head_toy(np.float32), ds)
+    assert hooks[0] is None and callable(hooks[1])
 
 
 # explicit ids keep each case's id from when the list also held the

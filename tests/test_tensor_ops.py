@@ -552,6 +552,17 @@ def test_tensor_copies_a_strided_view_and_casts_other_real_data():
     assert Tensor(np.float64(2.5)).data.shape == (1,)
 
 
+@pytest.mark.parametrize("dtype", [">f8", "<f8", ">f4", "<f4"])
+def test_tensor_keeps_the_width_of_floats_in_either_byte_order(dtype):
+    # 1e300 is beyond float32: a cast to it would give inf with a warning
+    values = [1 / 3, 1e300] if dtype.endswith("8") else [1 / 3, 3e38]
+    data = np.array(values, dtype=dtype)
+    t = Tensor(data)
+    native = np.dtype(dtype).newbyteorder("=")
+    assert t.data.dtype == native and t.data.dtype.isnative
+    assert t.data.tobytes() == data.astype(native).tobytes()
+
+
 def test_backward_rejects_non_scalar_loss():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     tape = GradTape()
